@@ -4,8 +4,7 @@ Twitter stream (Section III's execution model).
 Materializes a streaming dataset as micro-batch files, then (1) runs the
 incremental foreachBatch pipeline, printing per-batch progress (new
 candidates registered, entity mentions emitted), and (2) runs the
-windowed occurrence-mining aggregation, printing top per-window
-candidate counts.
+windowed count of Local EMD tags, printing top per-window tag counts.
 
 Usage: ``spark-submit jobs/streaming_demo.py [--dataset d2] [--scale S]
 [--batches N] [--d5-scale S]``
@@ -56,7 +55,7 @@ def main() -> None:
         prf = score_mentions(sg.all_output_mentions(), ds.gold)
         print(f"stream-cumulative: P={prf.precision:.3f} R={prf.recall:.3f} F1={prf.f1:.3f}")
 
-        # windowed occurrence mining (declarative streaming aggregation)
+        # windowed Local EMD tag counts (declarative streaming aggregation)
         stream = (
             spark.readStream.schema(STREAM_SCHEMA)
             .option("maxFilesPerTrigger", 1)
@@ -73,7 +72,7 @@ def main() -> None:
             .start()
         )
         q.awaitTermination(300)
-        print("\n== windowed occurrence mining (top candidates per window) ==")
+        print("\n== windowed Local EMD tag counts (top keys per window) ==")
         spark.sql(
             "SELECT window.start AS w_start, key, n_mentions FROM window_counts "
             "ORDER BY n_mentions DESC LIMIT 15"

@@ -2,20 +2,18 @@
 
 A candidate's global embedding is the mean of the local embeddings of
 all its mentions found in the stream — "it aggregates all contextual
-possibilities in which a candidate appears". Expressed as Spark
-dataflow: ``groupBy(key)`` + per-group vector mean via ``applyInPandas``
-(the candidate table is small; each group holds that candidate's
-mention vectors). The same quantity is maintained *incrementally* in
-streaming mode as a running (sum, count) pair — see
-``repro.core.candidate_base``.
+possibilities in which a candidate appears". The pooling itself is
+``CandidateBase``'s running (sum, count); this module exposes it for a
+DataFrame of mention embeddings, collected to the driver and pooled
+there (the candidate table is small).
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
+
+from repro.core.candidate_base import CandidateBase
 
 __all__ = ["global_embeddings", "GLOBAL_SCHEMA"]
 
@@ -30,25 +28,11 @@ GLOBAL_SCHEMA = T.StructType(
 
 def global_embeddings(local_emb_df: DataFrame) -> DataFrame:
     """``(key, emb)`` mention rows -> ``(key, n_mentions, pooled emb)``."""
-
-    def pool(pdf: pd.DataFrame) -> pd.DataFrame:
-        vecs = np.stack(pdf["emb"].to_numpy())
-        return pd.DataFrame(
-            {
-                "key": [pdf["key"].iloc[0]],
-                "n_mentions": [len(pdf)],
-                "emb": [vecs.mean(axis=0).astype(np.float32).tolist()],
-            }
-        )
-
-    return (
-        local_emb_df.select("key", "emb")
-        .groupBy("key")
-        .applyInPandas(pool, schema=GLOBAL_SCHEMA)
+    pdf = local_emb_df.select("key", "emb").toPandas()
+    embs = np.stack(pdf["emb"].to_numpy()) if len(pdf) else np.zeros((0, 0))
+    cb = CandidateBase(embs.shape[1])
+    cb.add_mentions(pdf["key"].to_numpy(), embs)
+    out = cb.table()[["key", "n_mentions"]].assign(
+        emb=[e.tolist() for e in cb.embeddings(cb.keys())]
     )
-
-
-def mention_frequencies(mined_df: DataFrame) -> DataFrame:
-    """Per-candidate mention counts (used by the error analysis and the
-    windowed streaming aggregation)."""
-    return mined_df.groupBy("key").agg(F.count("*").alias("n_mentions"))
+    return local_emb_df.sparkSession.createDataFrame(out, GLOBAL_SCHEMA)

@@ -1,13 +1,15 @@
 """Distributed candidate mention extraction (Section V-A) and local
 candidate-embedding collection (Section V-B).
 
-The CTrie built from Local EMD's seed candidates is broadcast; a second
+The CTrie built from Local EMD's seed candidates is broadcast; a
 ``mapInPandas`` scan over the tweet DataFrame finds *every* mention of
 every candidate (including ones Local EMD missed) and, in the same pass,
-attaches the occurrence's syntactic category. A follow-up pass computes
-local candidate embeddings:
+attaches the occurrence's syntactic category. ``collect_local_embeddings``
+then attaches each mention's local candidate embedding, lazily, so that
+one Spark action mines and embeds:
 
-- non-deep path: the 6-d one-hot of the syntactic category;
+- non-deep path: the 6-d one-hot of the syntactic category, built from
+  Spark column expressions;
 - deep path: the sentence's entity-aware token embeddings (recomputed
   deterministically — bit-equal to the values Local EMD produced, see
   ``repro.local_emd.embeddings``) pooled over the mention span and
@@ -104,10 +106,11 @@ def collect_local_embeddings(
     sentence within each partition and sliced per mention.
     """
     if not system.is_deep:
-        to_onehot = F.udf(
-            lambda c: syntactic.one_hot(int(c)).tolist(), T.ArrayType(T.FloatType())
-        )
-        return mined_df.withColumn("emb", to_onehot(F.col("category")))
+        one_hot = [
+            (F.col("category") == c).cast(T.FloatType())
+            for c in range(syntactic.N_CATEGORIES)
+        ]
+        return mined_df.withColumn("emb", F.array(*one_hot))
 
     if phrase_embedder is None:
         raise ValueError("deep Local EMD requires a trained PhraseEmbedder")

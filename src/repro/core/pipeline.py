@@ -6,25 +6,29 @@ stand-in), train the Entity Phrase Embedder (deep systems, on synthetic
 STS pairs), and train the Entity Classifier on labelled candidate
 records mined from the D5 stream.
 
-``EMDGlobalizer.run`` executes one full cycle on a tweet batch/stream
-expressed as a Spark DataFrame: Local EMD -> seed candidates -> CTrie ->
-occurrence mining -> local candidate embeddings -> pooled global
-embeddings -> entity classification -> final mention output. Ablation
-switches reproduce Figure 6's curves (``local`` / ``mining`` / ``full``).
+``global_emd_cycle`` is the one execution cycle on a tweet DataFrame:
+Local EMD -> seed candidates -> CTrie -> occurrence mining and local
+candidate embeddings (one Spark action) -> pooled global embeddings in
+a ``CandidateBase`` -> entity classification -> final mention output.
+``EMDGlobalizer.run`` runs it from fresh state (batch mode, with
+Figure 6's ablation switches ``local`` / ``mining`` / ``full``),
+``candidate_table`` runs it without the classifier to build the
+classifier's training table, and the streaming job runs it on each
+micro-batch against its kept state.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
-from repro.core.entity_classifier import EntityClassifier, LABEL_ENTITY
-from repro.core.global_embedding import global_embeddings
-from repro.core.mention_extraction import collect_local_embeddings, extract_mentions
+from repro.core.entity_classifier import EntityClassifier
+from repro.core.mention_extraction import MINED_SCHEMA, collect_local_embeddings, extract_mentions
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
     pooled_sentence_embeddings,
@@ -41,12 +45,16 @@ __all__ = [
     "EMDGlobalizer",
     "build_variant",
     "candidate_table",
+    "global_emd_cycle",
     "PHRASE_EMB_DIM",
 ]
 
 # Section V-A: a candidate mention spans a token "together with up to k
 # tokens following it" — the window cap, also applied to seed keys.
 MAX_CANDIDATE_TOKENS = 5
+
+# a mention's position; no two mentions share one
+SPAN_COLS = ["tweet_id", "sent_id", "start", "length"]
 
 # Phrase-embedder output width per deep instantiation (Section VI):
 # Aguilar keeps its 100-d output size; BERTweet compresses 768 -> 300.
@@ -66,9 +74,7 @@ class FittedVariant:
     @property
     def emb_dim(self) -> int:
         """Width of local/global candidate embeddings for this variant."""
-        if self.system.is_deep:
-            return self.phrase_embedder.d_out
-        return N_CATEGORIES
+        return _emb_dim(self.system, self.phrase_embedder)
 
 
 @dataclass
@@ -88,6 +94,71 @@ def _seed_keys(local_mentions: pd.DataFrame) -> list:
     return [k for k in keys if 1 <= len(k.split(" ")) <= MAX_CANDIDATE_TOKENS]
 
 
+def _emb_dim(system, phrase_embedder: PhraseEmbedder | None) -> int:
+    return phrase_embedder.d_out if system.is_deep else N_CATEGORIES
+
+
+def _collect_mentions(emb_df: DataFrame, d_emb: int) -> tuple:
+    """Mined mentions sorted by span, and their ``(n, d_emb)`` float32
+    embeddings in the same order, from one Spark action.
+
+    The sort makes pooling independent of partitioning and of shuffle
+    arrival order. The embeddings are copied once, chunk by chunk, out
+    of Arrow's flat float buffers: no Python object per mention.
+    """
+    table = emb_df.toArrow()
+    mined = table.drop_columns(["emb"]).to_pandas()
+    order = np.lexsort([mined[c].to_numpy() for c in reversed(SPAN_COLS)])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    embs = np.empty((len(order), d_emb), dtype=np.float32)
+    start = 0
+    for chunk in table.column("emb").chunks:
+        rows = chunk.flatten().to_numpy().reshape(len(chunk), d_emb)
+        embs[rank[start : start + len(chunk)]] = rows
+        start += len(chunk)
+    return mined.iloc[order].reset_index(drop=True), embs
+
+
+def global_emd_cycle(
+    spark: SparkSession,
+    system,
+    phrase_embedder: PhraseEmbedder | None,
+    tweets_df: DataFrame,
+    ctrie: CTrie,
+    candidate_base: CandidateBase,
+    classifier: EntityClassifier | None = None,
+) -> GlobalizerResult:
+    """One execution cycle (Section III) over a batch of tweets.
+
+    Tags the batch with Local EMD, inserts its seed candidates into
+    ``ctrie``, mines and embeds every mention of every ``ctrie``
+    candidate in one Spark action, and adds the mentions to
+    ``candidate_base``'s pooled (sum, count). With a ``classifier``,
+    every candidate is then re-labelled and the final mentions are the
+    batch's mentions of entity candidates. ``ctrie`` and
+    ``candidate_base`` are advanced in place: fresh ones give batch
+    mode, kept ones a stream.
+    """
+    t0 = time.perf_counter()
+    local = system.tag(tweets_df).toPandas()
+    t1 = time.perf_counter()
+    for key in _seed_keys(local):
+        ctrie.insert(key)
+    mined = pd.DataFrame(columns=MINED_SCHEMA.fieldNames())
+    if len(ctrie):
+        mined_df = extract_mentions(spark, tweets_df, ctrie)
+        emb_df = collect_local_embeddings(spark, tweets_df, mined_df, system, phrase_embedder)
+        mined, embs = _collect_mentions(emb_df, candidate_base.d_emb)
+        candidate_base.add_mentions(mined["key"].to_numpy(), embs)
+        if classifier is not None:
+            candidate_base.classify_all(classifier)
+    final = mined[mined["key"].isin(candidate_base.entity_keys())].reset_index(drop=True)
+    return GlobalizerResult(
+        local, mined, final, candidate_base.table(), t1 - t0, time.perf_counter() - t1
+    )
+
+
 class EMDGlobalizer:
     """The framework: a fitted variant applied to tweet DataFrames."""
 
@@ -97,57 +168,27 @@ class EMDGlobalizer:
     def run(
         self, spark: SparkSession, tweets_df: DataFrame, *, ablation: str = "full"
     ) -> GlobalizerResult:
-        """One execution cycle (Section III) over a batch of tweets.
+        """One execution cycle from fresh state (see ``global_emd_cycle``).
 
         ``ablation``: ``'local'`` stops after Local EMD; ``'mining'``
         adds occurrence mining but skips the classifier (Fig. 6's middle
         curve); ``'full'`` runs everything.
         """
         v = self.variant
-        t0 = time.perf_counter()
-        local = v.system.tag(tweets_df).toPandas()
-        local_seconds = time.perf_counter() - t0
-
-        t1 = time.perf_counter()
-        seeds = _seed_keys(local)
-        if ablation == "local" or not seeds:
-            empty = local.iloc[0:0]
+        if ablation == "local":
+            t0 = time.perf_counter()
+            local = v.system.tag(tweets_df).toPandas()
             return GlobalizerResult(
-                local, empty, local, pd.DataFrame(columns=["key", "n_mentions", "score", "label"]),
-                local_seconds, time.perf_counter() - t1,
+                local, local.iloc[0:0], local, CandidateBase(v.emb_dim).table(),
+                time.perf_counter() - t0, 0.0,
             )
-        ctrie = CTrie(seeds)
-        mined_df = extract_mentions(spark, tweets_df, ctrie)
+        res = global_emd_cycle(
+            spark, v.system, v.phrase_embedder, tweets_df, CTrie(),
+            CandidateBase(v.emb_dim), None if ablation == "mining" else v.classifier,
+        )
         if ablation == "mining":
-            mined = mined_df.toPandas()
-            return GlobalizerResult(
-                local, mined, mined,
-                pd.DataFrame(columns=["key", "n_mentions", "score", "label"]),
-                local_seconds, time.perf_counter() - t1,
-            )
-        local_embs = collect_local_embeddings(
-            spark, tweets_df, mined_df, v.system, v.phrase_embedder
-        )
-        # stable candidate order (see candidate_table) for reproducibility
-        gstats = global_embeddings(local_embs).toPandas().sort_values("key").reset_index(drop=True)
-        mined = mined_df.toPandas()
-        if len(gstats):
-            embs = np.stack(gstats["emb"].to_numpy()).astype(np.float32)
-            keys = gstats["key"].tolist()
-            scores = v.classifier.scores(embs, keys)
-            gstats["score"] = scores
-            gstats["label"] = [v.classifier.bucket(float(p)) for p in scores]
-        else:
-            gstats["score"] = []
-            gstats["label"] = []
-        entity_keys = set(gstats.loc[gstats["label"] == LABEL_ENTITY, "key"])
-        final = mined[mined["key"].isin(entity_keys)].reset_index(drop=True)
-        global_seconds = time.perf_counter() - t1
-        return GlobalizerResult(
-            local, mined, final,
-            gstats[["key", "n_mentions", "score", "label"]],
-            local_seconds, global_seconds,
-        )
+            return replace(res, final_mentions=res.mined_mentions)
+        return res
 
 
 def candidate_table(
@@ -158,26 +199,21 @@ def candidate_table(
     gold_keys: set,
 ) -> tuple:
     """Mine the labelled candidate table used to train/evaluate the
-    Entity Classifier: run Local EMD + occurrence mining + pooling on a
-    training stream, label each candidate by gold membership.
+    Entity Classifier: one unclassified ``global_emd_cycle`` over a
+    training stream, each candidate labelled by gold membership.
+
+    Candidates are sorted by key: the classifier's train/val split is
+    positional, so a stable order makes training reproducible.
 
     Returns ``(embs, keys, labels, n_mentions)``.
     """
-    local = variant_system.tag(tweets_df).toPandas()
-    seeds = _seed_keys(local)
-    ctrie = CTrie(seeds)
-    mined_df = extract_mentions(spark, tweets_df, ctrie)
-    local_embs = collect_local_embeddings(
-        spark, tweets_df, mined_df, variant_system, phrase_embedder
-    )
-    # sort: Spark shuffle arrival order is nondeterministic, and the
-    # classifier's train/val split is positional — a stable candidate
-    # order makes training bit-for-bit reproducible
-    gstats = global_embeddings(local_embs).toPandas().sort_values("key").reset_index(drop=True)
-    embs = np.stack(gstats["emb"].to_numpy()).astype(np.float32)
-    keys = gstats["key"].tolist()
+    cb = CandidateBase(_emb_dim(variant_system, phrase_embedder))
+    cands = global_emd_cycle(
+        spark, variant_system, phrase_embedder, tweets_df, CTrie(), cb
+    ).candidates
+    keys = cands["key"].tolist()
     labels = np.array([1.0 if k in gold_keys else 0.0 for k in keys])
-    return embs, keys, labels, gstats["n_mentions"].to_numpy()
+    return cb.embeddings(keys), keys, labels, cands["n_mentions"].to_numpy()
 
 
 def build_variant(

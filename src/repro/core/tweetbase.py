@@ -1,11 +1,10 @@
 """TweetBase (Section IV): per-sentence record store.
 
 Maintains an individual record for every tweet-sentence, indexed by
-``(tweet_id, sent_id)``, with the list of detected mentions — updated as
-sentences pass through Global EMD. In the Spark pipeline the same
-information lives in DataFrames; this driver-side structure backs the
-streaming mode (incremental per-batch updates) and mirrors the paper's
-data-structure inventory for inspection and tests.
+``(tweet_id, sent_id)``, with the list of detected mentions. In the
+Spark pipeline, batch and streaming alike, the same information lives
+in DataFrames and no pipeline code reads or writes this store; it
+mirrors the paper's data-structure inventory for inspection and tests.
 """
 from __future__ import annotations
 

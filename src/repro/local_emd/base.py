@@ -8,7 +8,8 @@ Global EMD pipeline can treat every instantiation as a black box.
 
 Tagging runs as Spark ``mapInPandas`` over tweet partitions: the fitted
 system (numpy weights + vocab dicts) is captured in the closure, shipped
-once per executor, and applies vectorized numpy inference per partition.
+once per executor, and tags each sentence of a partition in turn with
+``tag_sentence``.
 """
 from __future__ import annotations
 

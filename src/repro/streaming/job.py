@@ -8,15 +8,16 @@ Streaming job over a file source of tweet micro-batches:
 - ``write_stream_batches`` materializes a generated dataset as ordered
   JSON micro-batch files with event timestamps (the Twitter API feed
   stand-in);
-- ``StreamingGlobalizer`` advances the full pipeline inside
-  ``foreachBatch``: Local EMD on the new batch, CTrie growth with new
+- ``StreamingGlobalizer`` runs one ``global_emd_cycle`` per micro-batch
+  inside ``foreachBatch``, against a CTrie and CandidateBase it keeps
+  across batches: Local EMD on the new batch, CTrie growth with new
   seed candidates, occurrence mining of the batch against all candidates
   known so far, incremental CandidateBase (sum, count) pooling, and
   re-classification — gamma (ambiguous) candidates gain evidence as new
   mentions arrive, exactly the paper's incremental design;
-- ``windowed_mention_counts`` is the declarative windowed
-  occurrence-mining view: event-time windows of per-candidate mention
-  counts maintained by the engine.
+- ``windowed_mention_counts`` is a declarative windowed view of Local
+  EMD's own tags: event-time windows of per-candidate tag counts
+  maintained by the engine (no CTrie scan).
 """
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ from pyspark.sql import types as T
 
 from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
-from repro.core.mention_extraction import collect_local_embeddings, extract_mentions
-from repro.core.pipeline import MAX_CANDIDATE_TOKENS, FittedVariant
-from repro.core.tweetbase import TweetBase
+from repro.core.pipeline import FittedVariant, global_emd_cycle
 from repro.streams.generator import TweetDataset
 
 __all__ = [
@@ -54,6 +53,9 @@ STREAM_SCHEMA = T.StructType(
         T.StructField("ts", T.TimestampType(), False),
     ]
 )
+
+# columns of an emitted mention
+MENTION_COLS = ["tweet_id", "sent_id", "start", "length", "key", "surface"]
 
 
 def write_stream_batches(
@@ -110,7 +112,6 @@ class StreamingGlobalizer:
     variant: FittedVariant
     ctrie: CTrie = field(default_factory=CTrie)
     candidate_base: CandidateBase | None = None
-    tweet_base: TweetBase = field(default_factory=TweetBase)
     outputs: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -120,48 +121,21 @@ class StreamingGlobalizer:
     def process_batch(
         self, spark: SparkSession, batch_df: DataFrame, batch_id: int
     ) -> BatchOutput:
-        """One execution cycle (Section III steps 2–3) on a micro-batch."""
+        """One ``global_emd_cycle`` (Section III steps 2–3) on a
+        micro-batch, against the kept CTrie and CandidateBase."""
         v = self.variant
         batch_df = batch_df.select("tweet_id", "sent_id", "topic", "tokens").cache()
         try:
             n_tweets = batch_df.count()
-            for r in batch_df.select("tweet_id", "sent_id", "tokens").collect():
-                self.tweet_base.add_sentence(r.tweet_id, r.sent_id, list(r.tokens))
-            # (2) Local EMD on the incoming batch -> new seed candidates
-            local = v.system.tag(batch_df).toPandas()
             before = len(self.ctrie)
-            for key in sorted(set(local["key"])):
-                if 1 <= len(key.split(" ")) <= MAX_CANDIDATE_TOKENS:
-                    self.ctrie.insert(key)
-            n_new = len(self.ctrie) - before
-            # (3i) scan the batch for mentions of *all* known candidates
-            if len(self.ctrie) == 0:
-                mentions = local.iloc[0:0]
-                out = BatchOutput(batch_id, n_tweets, 0, mentions)
-                self.outputs.append(out)
-                return out
-            mined_df = extract_mentions(spark, batch_df, self.ctrie)
-            # (3ii) local candidate embeddings for each mention found
-            embs = collect_local_embeddings(
-                spark, batch_df, mined_df, v.system, v.phrase_embedder
-            ).toPandas()
-            # (3iii) incremental global pooling in the CandidateBase
-            for r in embs.itertuples():
-                self.candidate_base.add_mention(
-                    r.key, np.asarray(r.emb, dtype=np.float64)
-                )
-                self.tweet_base.record_mention(
-                    r.tweet_id, r.sent_id, r.start, r.length, r.key
-                )
-            # (3iv) re-classify every candidate on its updated pool
-            self.candidate_base.classify_all(v.classifier)
-            entity_keys = self.candidate_base.entity_keys()
-            mentions = embs[embs["key"].isin(entity_keys)][
-                ["tweet_id", "sent_id", "start", "length", "key", "surface"]
-            ].reset_index(drop=True)
+            res = global_emd_cycle(
+                spark, v.system, v.phrase_embedder, batch_df,
+                self.ctrie, self.candidate_base, v.classifier,
+            )
         finally:
             batch_df.unpersist()
-        out = BatchOutput(batch_id, n_tweets, n_new, mentions)
+        mentions = res.final_mentions[MENTION_COLS]
+        out = BatchOutput(batch_id, n_tweets, len(self.ctrie) - before, mentions)
         self.outputs.append(out)
         return out
 
@@ -169,9 +143,7 @@ class StreamingGlobalizer:
         """Union of per-batch emissions (final stream output)."""
         frames = [o.mentions for o in self.outputs if len(o.mentions)]
         if not frames:
-            return pd.DataFrame(
-                columns=["tweet_id", "sent_id", "start", "length", "key", "surface"]
-            )
+            return pd.DataFrame(columns=MENTION_COLS)
         return pd.concat(frames, ignore_index=True)
 
     # ------------------------------------------------------------------
@@ -212,8 +184,8 @@ def windowed_mention_counts(
     window_duration: str = "60 seconds",
     watermark: str = "120 seconds",
 ) -> DataFrame:
-    """Declarative windowed occurrence mining: per-event-time-window
-    per-candidate mention counts from Local EMD emissions.
+    """Per-event-time-window, per-key counts of Local EMD's tags (the
+    mentions Local EMD itself emits, not a CTrie scan).
 
     ``system`` is a *fitted* Local EMD system shipped in the closure;
     the result is a streaming aggregation suitable for a memory/console

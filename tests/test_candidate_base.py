@@ -24,6 +24,31 @@ class TestCandidateBase:
             cb.add_mention("k", v)
         assert np.allclose(cb.get("k").global_embedding, vecs.mean(axis=0), atol=1e-6)
 
+    def test_bulk_add_equals_row_loop_and_numpy_mean(self):
+        rng = np.random.default_rng(3)
+        vecs = rng.normal(size=(60, 5)).astype(np.float32)
+        keys = rng.choice(["a", "b c", "d", "e"], size=60)
+        loop, bulk = CandidateBase(5), CandidateBase(5)
+        for k, v in zip(keys, vecs):
+            loop.add_mention(k, v)
+        bulk.add_mentions(keys, vecs)
+        assert bulk.keys() == loop.keys()
+        for k in loop.keys():
+            assert bulk.get(k).n_mentions == loop.get(k).n_mentions
+            assert np.array_equal(bulk.get(k).emb_sum, loop.get(k).emb_sum)
+            mean = vecs[keys == k].astype(np.float64).mean(axis=0).astype(np.float32)
+            assert np.array_equal(bulk.get(k).global_embedding, mean)
+        # later batches add onto the running sums exactly as the loop does
+        more = rng.normal(size=(30, 5)).astype(np.float32)
+        more_keys = rng.choice(["a", "e", "new"], size=30)
+        for k, v in zip(more_keys, more):
+            loop.add_mention(k, v)
+        bulk.add_mentions(more_keys, more)
+        bulk.add_mentions([], np.zeros((0, 5)))
+        for k in loop.keys():
+            assert bulk.get(k).n_mentions == loop.get(k).n_mentions
+            assert np.array_equal(bulk.get(k).emb_sum, loop.get(k).emb_sum)
+
     def test_contains_and_len(self):
         cb = CandidateBase(2)
         assert "a" not in cb and len(cb) == 0

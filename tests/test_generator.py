@@ -157,6 +157,19 @@ class TestSparkRoundTrip:
             tweets=d1.tweets.drop(columns=["tokens"]),
         )
 
+    def test_oracle_catches_wrong_topic_count(self, spark, d1):
+        wrong = (
+            d1.to_spark(spark)
+            .groupBy("topic")
+            .agg((F.count("*") + 1).alias("n_tweets"))  # off by one: oracle must fail
+        )
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT topic, COUNT(*) AS n_tweets FROM tweets GROUP BY topic",
+                tweets=d1.tweets.drop(columns=["tokens"]),
+            )
+
     def test_mention_counts_match_duckdb_oracle(self, spark, d1):
         df = (
             d1.gold_to_spark(spark)

@@ -6,7 +6,7 @@ import pytest
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.global_embedding import global_embeddings, mention_frequencies
+from repro.core.global_embedding import global_embeddings
 from repro.oracle import assert_equivalent
 
 EMB_SCHEMA = T.StructType(
@@ -71,13 +71,3 @@ class TestGlobalEmbeddings:
         out = global_embeddings(df).toPandas()
         assert np.allclose(out["emb"].iloc[0], [1.0, 2.0, 3.0])
 
-
-class TestMentionFrequencies:
-    def test_matches_duckdb_oracle(self, spark, local_embs):
-        pdf, df = local_embs
-        freq = mention_frequencies(df)
-        assert_equivalent(
-            freq,
-            "SELECT key, COUNT(*) AS n_mentions FROM mined GROUP BY key",
-            mined=pdf[["key"]],
-        )

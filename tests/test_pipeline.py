@@ -12,6 +12,7 @@ import pytest
 from repro.core.pipeline import (
     MAX_CANDIDATE_TOKENS,
     EMDGlobalizer,
+    _collect_mentions,
     _seed_keys,
     candidate_table,
 )
@@ -40,6 +41,32 @@ class TestSeedKeys:
     def test_dedupes_and_sorts(self):
         local = pd.DataFrame({"key": ["b", "a", "b"]})
         assert _seed_keys(local) == ["a", "b"]
+
+
+class TestCollectMentions:
+    def test_span_order_whatever_row_order(self, spark):
+        """Collected mentions and their embeddings come back sorted by
+        span, together, whatever order Spark delivers the rows in."""
+        from repro.core.mention_extraction import EMB_SCHEMA
+
+        rng = np.random.default_rng(5)
+        rows = [
+            (t, s, a, 1, f"k{a % 3}", f"K{a % 3}", a % 6, rng.normal(size=4).tolist())
+            for t in range(6) for s in range(2) for a in range(5)
+        ]
+        pdf = pd.DataFrame(rows, columns=EMB_SCHEMA.fieldNames())
+        shuffled = pdf.sample(frac=1.0, random_state=1)
+        outs = [
+            _collect_mentions(spark.createDataFrame(p, EMB_SCHEMA).repartition(n), 4)
+            for p, n in ((pdf, 1), (shuffled, 3))
+        ]
+        (mined_a, embs_a), (mined_b, embs_b) = outs
+        pd.testing.assert_frame_equal(mined_a, mined_b)
+        assert np.array_equal(embs_a, embs_b)
+        spans = list(map(tuple, mined_a[["tweet_id", "sent_id", "start"]].to_numpy()))
+        assert spans == sorted(spans)
+        expect = np.array(pdf["emb"].tolist(), dtype=np.float32)  # pdf is in span order
+        assert np.array_equal(embs_a, expect)
 
 
 class TestFullRun:
@@ -165,6 +192,23 @@ class TestNonDeepVariant:
         row = evaluate_variant(spark, chunker_variant, ds)
         assert row.global_.f1 > row.local.f1
         assert row.global_.precision > row.local.precision + 0.1
+
+    def test_output_independent_of_partitioning(
+        self, spark, chunker_variant, aguilar_variant, d1_small
+    ):
+        """Pooling sums mentions in span order, so candidates and final
+        mentions are bit-identical however the tweets are partitioned
+        (the deep path's float sums included)."""
+        cols = ["tweet_id", "sent_id", "start", "length", "key"]
+        for variant in (chunker_variant, aguilar_variant):
+            one, eight = (
+                EMDGlobalizer(variant).run(spark, d1_small.to_spark(spark).repartition(n))
+                for n in (1, 8)
+            )
+            pd.testing.assert_frame_equal(one.candidates, eight.candidates, check_exact=True)
+            assert set(map(tuple, one.final_mentions[cols].itertuples(index=False))) == set(
+                map(tuple, eight.final_mentions[cols].itertuples(index=False))
+            )
 
     def test_chunker_variant_uses_6d_embeddings(self, chunker_variant):
         assert chunker_variant.emb_dim == 6

@@ -49,25 +49,44 @@ class TestWriteStreamBatches:
 
 
 class TestIncrementalPipeline:
-    def test_single_batch_equals_batch_pipeline(self, spark, aguilar_variant, ds_small):
+    def test_single_batch_equals_batch_pipeline(
+        self, spark, chunker_variant, aguilar_variant, ds_small
+    ):
         """One micro-batch covering the whole dataset must reproduce the
-        batch pipeline's outputs and candidate state exactly."""
+        batch pipeline's outputs and candidate state exactly, on the
+        syntactic and the deep path."""
         df = ds_small.to_spark(spark).cache()
+        cols = ["tweet_id", "sent_id", "start", "length", "key"]
         try:
-            batch_res = EMDGlobalizer(aguilar_variant).run(spark, df)
-            sg = StreamingGlobalizer(aguilar_variant)
-            sg.process_batch(spark, df, 0)
+            for variant in (chunker_variant, aguilar_variant):
+                batch_res = EMDGlobalizer(variant).run(spark, df)
+                sg = StreamingGlobalizer(variant)
+                sg.process_batch(spark, df, 0)
+                a = set(map(tuple, batch_res.final_mentions[cols].itertuples(index=False)))
+                b = set(map(tuple, sg.all_output_mentions()[cols].itertuples(index=False)))
+                assert a == b
+                # every candidate's n_mentions, score and label
+                pd.testing.assert_frame_equal(
+                    batch_res.candidates, sg.candidate_base.table(), check_exact=True
+                )
         finally:
             df.unpersist()
-        cols = ["tweet_id", "sent_id", "start", "length", "key"]
-        a = set(map(tuple, batch_res.final_mentions[cols].itertuples(index=False)))
-        b = set(map(tuple, sg.all_output_mentions()[cols].itertuples(index=False)))
-        assert a == b
-        # candidate pooled means match the batch groupBy aggregation
-        batch_cands = batch_res.candidates.set_index("key")
-        for key in list(batch_cands.index)[:40]:
-            rec = sg.candidate_base.get(key)
-            assert rec.n_mentions == batch_cands.loc[key, "n_mentions"]
+
+    def test_empty_batches_emit_nothing(
+        self, spark, chunker_variant, aguilar_variant, ds_small
+    ):
+        """An empty micro-batch neither crashes nor changes state, before
+        and after candidates exist."""
+        empty = spark.createDataFrame([], STREAM_SCHEMA)
+        for variant in (chunker_variant, aguilar_variant):
+            sg = StreamingGlobalizer(variant)
+            sg.process_batch(spark, empty, 0)
+            assert len(sg.ctrie) == 0 and len(sg.candidate_base) == 0
+            sg.process_batch(spark, ds_small.to_spark(spark), 1)
+            before = sg.candidate_base.table()
+            out = sg.process_batch(spark, empty, 2)
+            assert out.n_tweets == 0 and out.n_new_candidates == 0 and len(out.mentions) == 0
+            pd.testing.assert_frame_equal(before, sg.candidate_base.table(), check_exact=True)
 
     def test_multi_batch_state_grows(self, spark, aguilar_variant, ds_small, tmp_path_factory):
         td = tmp_path_factory.mktemp("stream")

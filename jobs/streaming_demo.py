@@ -21,7 +21,7 @@ from repro.eval.metrics import score_mentions
 from repro.streaming.job import (
     STREAM_SCHEMA,
     StreamingGlobalizer,
-    windowed_mention_counts,
+    windowed_tag_counts,
     write_stream_batches,
 )
 from repro.streams import generator as gen
@@ -61,7 +61,7 @@ def main() -> None:
             .option("maxFilesPerTrigger", 1)
             .json(td)
         )
-        counts = windowed_mention_counts(
+        counts = windowed_tag_counts(
             stream, variant.system, window_duration="300 seconds"
         )
         q = (

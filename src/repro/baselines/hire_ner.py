@@ -21,8 +21,13 @@ the paper; both MLPs over the same synthetic contextual bank here):
   content, much like a document",
 - decoder: feed-forward O/B/I head over [local ‖ global].
 
-The token-type pooling runs as Spark dataflow: explode tokens, compute
-per-type mean embeddings, broadcast back into the tagging pass.
+The memory is one (sum, count) aggregation: ``token_sums`` gives a
+partial per pandas chunk and ``memory_from_sums`` merges partials into
+per-type means. Training takes the whole training corpus as a single
+chunk on the driver; tagging runs the partials as Spark ``mapInPandas``
+over the dataset and broadcasts the merged memory into the tagging
+pass, which emits rows through the same ``mentions_frame`` as every
+Local EMD system.
 """
 from __future__ import annotations
 
@@ -30,20 +35,69 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+import pyspark.sql.types as T
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.local_emd.base import (
-    MENTIONS_SCHEMA,
-    bio_to_spans,
-    is_special,
-    spans_to_bio,
-    surface_features,
+from repro.local_emd.base import MENTIONS_SCHEMA, mentions_frame, surface_features
+from repro.local_emd.deep import (
+    bio_training_set,
+    decode_bio,
+    gazetteer_features,
+    train_bio_tagger,
 )
-from repro.local_emd.deep import gazetteer_features, train_bio_tagger
 from repro.local_emd.embeddings import EmbeddingBank
 from repro.nn.mlp import MLP
 
-__all__ = ["HireNER"]
+__all__ = ["HireNER", "token_sums", "memory_from_sums"]
+
+TOKEN_SUMS_SCHEMA = T.StructType(
+    [
+        T.StructField("token", T.StringType()),
+        T.StructField("emb_sum", T.ArrayType(T.DoubleType())),
+        T.StructField("count", T.LongType()),
+    ]
+)
+
+
+def token_sums(bank: EmbeddingBank, tweets: pd.DataFrame) -> pd.DataFrame:
+    """One partial of the memory: per lowercased token, the float64 sum
+    of its contextual embeddings over a pandas chunk of tweets and its
+    occurrence count (``TOKEN_SUMS_SCHEMA`` columns)."""
+    sums: dict = {}
+    counts: dict = {}
+    for r in tweets.itertuples():
+        toks = [t.lower() for t in r.tokens]
+        emb = bank.contextual(toks, int(r.tweet_id), int(r.sent_id))
+        for t, e in zip(toks, emb):
+            if t in sums:
+                sums[t] += e
+                counts[t] += 1
+            else:
+                sums[t] = e.astype(np.float64).copy()
+                counts[t] = 1
+    return pd.DataFrame(
+        {
+            "token": list(sums),
+            "emb_sum": [sums[t].tolist() for t in sums],
+            "count": [counts[t] for t in sums],
+        }
+    )
+
+
+def memory_from_sums(partials: pd.DataFrame) -> dict:
+    """The memory structure: merge ``token_sums`` partials into the mean
+    contextual embedding (float32) per token type."""
+    sums: dict = {}
+    counts: dict = {}
+    for r in partials.itertuples():
+        v = np.asarray(r.emb_sum)
+        if r.token in sums:
+            sums[r.token] += v
+            counts[r.token] += r.count
+        else:
+            sums[r.token] = v.copy()
+            counts[r.token] = r.count
+    return {t: (sums[t] / counts[t]).astype(np.float32) for t in sums}
 
 
 class HireNER:
@@ -77,23 +131,6 @@ class HireNER:
         return self.n_local_features + self.bank.dim  # + global memory slot
 
     # ------------------------------------------------------------------
-    def _memory(self, tweets: pd.DataFrame) -> dict:
-        """The memory structure: mean contextual embedding per token type
-        over the whole corpus (document)."""
-        sums: dict = {}
-        counts: dict = {}
-        for r in tweets.itertuples():
-            toks = [t.lower() for t in r.tokens]
-            emb = self.bank.contextual(toks, int(r.tweet_id), int(r.sent_id))
-            for t, e in zip(toks, emb):
-                if t in sums:
-                    sums[t] += e
-                    counts[t] += 1
-                else:
-                    sums[t] = e.astype(np.float64).copy()
-                    counts[t] = 1
-        return {t: (sums[t] / counts[t]).astype(np.float32) for t in sums}
-
     def _features(
         self, tokens: list, tweet_id: int, sent_id: int, memory: dict
     ) -> np.ndarray:
@@ -111,22 +148,12 @@ class HireNER:
         )
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
-        memory = self._memory(train_tweets)
-        gold_by_sent: dict = {}
-        for r in train_gold.itertuples():
-            gold_by_sent.setdefault((r.tweet_id, r.sent_id), []).append(
-                (r.start, r.length)
-            )
-        Xs, Ys = [], []
-        for r in train_tweets.itertuples():
-            toks = list(r.tokens)
-            Xs.append(self._features(toks, int(r.tweet_id), int(r.sent_id), memory))
-            tags = spans_to_bio(len(toks), gold_by_sent.get((r.tweet_id, r.sent_id), []))
-            Y = np.zeros((len(toks), 3), dtype=np.float32)
-            Y[np.arange(len(toks)), tags] = 1.0
-            Ys.append(Y)
-        X = np.concatenate(Xs).astype(np.float32)
-        Y = np.concatenate(Ys).astype(np.float32)
+        memory = memory_from_sums(token_sums(self.bank, train_tweets))
+        X, Y = bio_training_set(
+            train_tweets,
+            train_gold,
+            lambda toks, tweet_id, sent_id: self._features(toks, tweet_id, sent_id, memory),
+        )
         sizes = [self.n_features, *self.hidden, 3]
         acts = ["relu"] * len(self.hidden) + ["sigmoid"]
         self.model = MLP.build(sizes, acts, seed=self.seed)
@@ -135,52 +162,17 @@ class HireNER:
     # ------------------------------------------------------------------
     def build_memory(self, spark: SparkSession, tweets_df: DataFrame) -> dict:
         """Compute the per-token-type global memory for a dataset as a
-        distributed (sum, count) aggregation over partitions."""
+        distributed (sum, count) aggregation: one ``token_sums`` partial
+        per Arrow batch, merged on the driver."""
         bank = self.bank
 
         def partial(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             for pdf in batches:
-                sums: dict = {}
-                counts: dict = {}
-                for r in pdf.itertuples():
-                    toks = [t.lower() for t in r.tokens]
-                    emb = bank.contextual(toks, int(r.tweet_id), int(r.sent_id))
-                    for t, e in zip(toks, emb):
-                        if t in sums:
-                            sums[t] += e
-                            counts[t] += 1
-                        else:
-                            sums[t] = e.astype(np.float64).copy()
-                            counts[t] = 1
-                yield pd.DataFrame(
-                    {
-                        "token": list(sums),
-                        "emb_sum": [sums[t].tolist() for t in sums],
-                        "count": [counts[t] for t in sums],
-                    }
-                )
+                yield token_sums(bank, pdf)
 
-        import pyspark.sql.types as T
-
-        schema = T.StructType(
-            [
-                T.StructField("token", T.StringType()),
-                T.StructField("emb_sum", T.ArrayType(T.DoubleType())),
-                T.StructField("count", T.LongType()),
-            ]
+        return memory_from_sums(
+            tweets_df.mapInPandas(partial, schema=TOKEN_SUMS_SCHEMA).toPandas()
         )
-        partials = tweets_df.mapInPandas(partial, schema=schema).toPandas()
-        memory: dict = {}
-        counts: dict = {}
-        for r in partials.itertuples():
-            v = np.asarray(r.emb_sum)
-            if r.token in memory:
-                memory[r.token] += v
-                counts[r.token] += r.count
-            else:
-                memory[r.token] = v.copy()
-                counts[r.token] = r.count
-        return {t: (memory[t] / counts[t]).astype(np.float32) for t in memory}
 
     def tag(self, spark: SparkSession, tweets_df: DataFrame) -> DataFrame:
         """Two-pass document EMD: build the global memory over the whole
@@ -194,31 +186,13 @@ class HireNER:
         def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
             arrays, mem = bc.value
             model = MLP.from_arrays(arrays)
+
+            def tag_sentence(toks: list, tweet_id: int, sent_id: int) -> list:
+                if not toks:
+                    return []
+                return decode_bio(model, me._features(toks, tweet_id, sent_id, mem))
+
             for pdf in batches:
-                rows = []
-                for r in pdf.itertuples():
-                    toks = list(r.tokens)
-                    if not toks:
-                        continue
-                    X = me._features(toks, int(r.tweet_id), int(r.sent_id), mem)
-                    p = model.forward(X)
-                    for start, length in bio_to_spans(np.argmax(p, axis=1)):
-                        span = toks[start : start + length]
-                        if any(is_special(t) for t in span):
-                            continue
-                        rows.append(
-                            (
-                                int(r.tweet_id),
-                                int(r.sent_id),
-                                int(start),
-                                int(length),
-                                " ".join(t.lower() for t in span),
-                                " ".join(span),
-                            )
-                        )
-                yield pd.DataFrame(
-                    rows,
-                    columns=["tweet_id", "sent_id", "start", "length", "key", "surface"],
-                )
+                yield mentions_frame(pdf, tag_sentence)
 
         return tweets_df.mapInPandas(run, schema=MENTIONS_SCHEMA)

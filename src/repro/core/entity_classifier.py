@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.mlp import MLP, train_classifier
+from repro.nn.mlp import MLP, bce_grad, bce_loss, train_early_stopping
 
 __all__ = ["EntityClassifier", "ALPHA", "BETA", "LABEL_ENTITY", "LABEL_NON", "LABEL_AMBIG"]
 
@@ -75,23 +75,25 @@ class EntityClassifier:
         order = rng.permutation(len(y))
         n_val = max(1, int(0.2 * len(y)))
         val_idx, tr_idx = order[:n_val], order[n_val:]
-        hist = train_classifier(
-            self.model,
-            X[tr_idx],
-            y[tr_idx],
-            X_val=X[val_idx],
-            y_val=y[val_idx],
+        Xtr, Ytr = X[tr_idx], y[tr_idx, None]
+        Xval, Yval = X[val_idx], y[val_idx, None]
+        model = self.model
+        hist = train_early_stopping(
+            model,
+            len(tr_idx),
+            lambda idx: model.backward(bce_grad(model.forward(Xtr[idx]), Ytr[idx], 1e-9)),
+            lambda: bce_loss(model.forward(Xval), Yval, 1e-9),
+            rng=np.random.default_rng(seed),
             lr=lr,
             batch_size=batch_size,
             epochs=epochs,
             patience=patience,
-            seed=seed,
         )
-        pv = self.model.forward(X[val_idx]).ravel()
-        pred = pv >= ALPHA
-        tp = float(np.sum(pred & (y[val_idx] == 1)))
-        fp = float(np.sum(pred & (y[val_idx] == 0)))
-        fn = float(np.sum(~pred & (y[val_idx] == 1)))
+        pred = model.forward(Xval).ravel() >= ALPHA
+        yv = y[val_idx]
+        tp = float(np.sum(pred & (yv == 1)))
+        fp = float(np.sum(pred & (yv == 0)))
+        fn = float(np.sum(~pred & (yv == 1)))
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         self.validation_f1 = (
@@ -111,6 +113,3 @@ class EntityClassifier:
         if p <= BETA:
             return LABEL_NON
         return LABEL_AMBIG
-
-    def classify(self, embs: np.ndarray, keys: list) -> list:
-        return [self.bucket(p) for p in self.scores(embs, keys)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.mlp import AdamState, Dense, MLP
+from repro.nn.mlp import Dense, MLP, train_early_stopping
 
 __all__ = ["PhraseEmbedder", "train_phrase_embedder"]
 
@@ -76,8 +76,7 @@ def train_phrase_embedder(
     scores: np.ndarray,
     *,
     d_out: int,
-    val_frac: float = 0.207,  # ~ STS-b's 1500/(5749+1500) when used standalone
-    val_split: tuple | None = None,
+    val_split: tuple,
     lr: float = 0.001,
     batch_size: int = 32,
     epochs: int = 400,
@@ -85,53 +84,43 @@ def train_phrase_embedder(
     seed: int = 9,
 ) -> tuple:
     """Train ``(W_ff, b_ff)`` with the paper's recipe (Adam, lr 0.001,
-    batch 32, early stop after 25 stale epochs, best checkpoint kept).
+    batch 32, early stop after 25 stale epochs, best checkpoint kept)
+    through ``train_early_stopping``.
 
     ``pooled_a/b`` are the frozen-DNN mean-pooled sentence embeddings of
-    each pair; ``scores`` are normalized to [0, 1]. If ``val_split`` is
-    given it is ``(pooled_a_val, pooled_b_val, scores_val)``; otherwise a
-    tail fraction is held out. Returns ``(PhraseEmbedder, history)`` with
+    each training pair; ``scores`` are normalized to [0, 1].
+    ``val_split`` is ``(pooled_a_val, pooled_b_val, scores_val)``.
+    Returns ``(PhraseEmbedder, history)`` with
     ``history['best_val_loss']`` — the paper reports 0.185 (Aguilar) and
     0.167 (BERTweet) here.
     """
-    rng = np.random.default_rng(seed)
-    if val_split is None:
-        n_val = max(1, int(len(scores) * val_frac))
-        Av, Bv, yv = pooled_a[-n_val:], pooled_b[-n_val:], scores[-n_val:]
-        A, B, y = pooled_a[:-n_val], pooled_b[:-n_val], scores[:-n_val]
-    else:
-        A, B, y = pooled_a, pooled_b, scores
-        Av, Bv, yv = val_split
-    pe = PhraseEmbedder.init(A.shape[1], d_out, seed=seed)
-    # reuse the MLP Adam machinery via a single linear Dense layer
-    layer = Dense(pe.W, pe.b, act="linear")
-    state = AdamState.for_layers([layer])
-    model = MLP([layer])
-    best_val, best, stale = np.inf, pe.to_arrays(), 0
-    n = len(y)
-    for _epoch in range(epochs):
-        perm = rng.permutation(n)
-        for s in range(0, n, batch_size):
-            idx = perm[s : s + batch_size]
-            U = A[idx] @ layer.W + layer.b
-            Vv = B[idx] @ layer.W + layer.b
-            _, dU, dV = _cosine_and_grads(U, Vv, y[idx])
-            dW = A[idx].T @ dU + B[idx].T @ dV
-            db = dU.sum(axis=0) + dV.sum(axis=0)
-            model.adam_step([(dW, db)], state, lr)
-        Uv = Av @ layer.W + layer.b
-        Vvv = Bv @ layer.W + layer.b
-        cos, _, _ = _cosine_and_grads(Uv, Vvv, yv)
-        val = float(((cos - yv) ** 2).mean())
-        if val < best_val - 1e-6:
-            best_val, stale = val, 0
-            best = (layer.W.copy(), layer.b.copy())
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    out = PhraseEmbedder.from_arrays(best)
-    return out, {"best_val_loss": best_val}
+    Av, Bv, yv = val_split
+    pe = PhraseEmbedder.init(pooled_a.shape[1], d_out, seed=seed)
+    # one linear Dense layer over pe's own arrays: Adam updates them in place
+    model = MLP([Dense(pe.W, pe.b, act="linear")])
+
+    def grads(idx: np.ndarray) -> list:
+        A, B = pooled_a[idx], pooled_b[idx]
+        _, dU, dV = _cosine_and_grads(pe.embed_pooled(A), pe.embed_pooled(B), scores[idx])
+        return [(A.T @ dU + B.T @ dV, dU.sum(axis=0) + dV.sum(axis=0))]
+
+    def val_loss() -> float:
+        cos, _, _ = _cosine_and_grads(pe.embed_pooled(Av), pe.embed_pooled(Bv), yv)
+        return float(((cos - yv) ** 2).mean())
+
+    hist = train_early_stopping(
+        model,
+        len(scores),
+        grads,
+        val_loss,
+        rng=np.random.default_rng(seed),
+        lr=lr,
+        batch_size=batch_size,
+        epochs=epochs,
+        patience=patience,
+    )
+    best = model.layers[0]
+    return PhraseEmbedder(best.W, best.b), hist
 
 
 def pooled_sentence_embeddings(system, sentences: list, id_offset: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from pyspark.sql import types as T
 __all__ = [
     "MENTIONS_SCHEMA",
     "LocalEMDSystem",
+    "mentions_frame",
     "surface_features",
     "spans_to_bio",
     "bio_to_spans",
@@ -124,6 +125,35 @@ def bio_to_spans(tags: np.ndarray) -> list:
     return spans
 
 
+def mentions_frame(tweets: pd.DataFrame, tag_sentence) -> pd.DataFrame:
+    """Mention rows (``MENTIONS_SCHEMA`` columns) of every span that
+    ``tag_sentence(tokens, tweet_id, sent_id)`` returns for a pandas
+    chunk of tweets. Spans touching a tweet-special token are dropped;
+    ``key`` is the lowercased surface."""
+    rows = []
+    for tweet_id, sent_id, toks in zip(
+        tweets["tweet_id"], tweets["sent_id"], tweets["tokens"]
+    ):
+        toks = list(toks)
+        for start, length in tag_sentence(toks, int(tweet_id), int(sent_id)):
+            span = toks[start : start + length]
+            if any(is_special(t) for t in span):
+                continue
+            rows.append(
+                (
+                    int(tweet_id),
+                    int(sent_id),
+                    int(start),
+                    int(length),
+                    " ".join(t.lower() for t in span),
+                    " ".join(span),
+                )
+            )
+    return pd.DataFrame(
+        rows, columns=["tweet_id", "sent_id", "start", "length", "key", "surface"]
+    )
+
+
 class LocalEMDSystem:
     """Base class: fitted systems are picklable and Spark-broadcastable."""
 
@@ -143,28 +173,7 @@ class LocalEMDSystem:
     # ------------------------------------------------------------------
     def tag_pandas(self, tweets: pd.DataFrame) -> pd.DataFrame:
         """Tag a pandas chunk of tweets -> mentions frame."""
-        rows = []
-        for tweet_id, sent_id, toks in zip(
-            tweets["tweet_id"], tweets["sent_id"], tweets["tokens"]
-        ):
-            toks = list(toks)
-            for start, length in self.tag_sentence(toks, int(tweet_id), int(sent_id)):
-                span = toks[start : start + length]
-                if any(is_special(t) for t in span):
-                    continue
-                rows.append(
-                    (
-                        int(tweet_id),
-                        int(sent_id),
-                        int(start),
-                        int(length),
-                        " ".join(t.lower() for t in span),
-                        " ".join(span),
-                    )
-                )
-        return pd.DataFrame(
-            rows, columns=["tweet_id", "sent_id", "start", "length", "key", "surface"]
-        )
+        return mentions_frame(tweets, self.tag_sentence)
 
     def tag(self, tweets_df: DataFrame) -> DataFrame:
         """Distributed tagging: mapInPandas over tweet partitions."""

@@ -1,12 +1,14 @@
-"""Shared machinery for learned BIO taggers (deep and linear).
+"""Shared machinery for the learned BIO taggers, and the deep Local EMD system.
 
-Implements the supervised sequence-labeling core the paper's Local EMD
-systems share: per-token feature construction, three-way (O/B/I)
-sigmoid-head training with Adam on the WNUT17-train stand-in corpus, and
-BIO decoding. Deep systems add a contextual-embedding input and expose
-their penultimate layer as the 'entity-aware' token embedding consumed
-by Global EMD (Section IV: "the output of the neural network's final
-layer before token-level classification").
+The learned taggers (the deep systems, TwitterNLP and the HIRE-NER
+baseline) share one supervised sequence-labeling core: gold spans to a
+stacked ``(X, Y)`` training set (``bio_training_set``), three-way
+(O/B/I) sigmoid-head training through the one early-stopping Adam loop
+(``train_bio_tagger``) on the WNUT17-train stand-in corpus, and argmax
+BIO decoding (``decode_bio``). Deep systems add a contextual-embedding
+input and expose their penultimate layer as the 'entity-aware' token
+embedding consumed by Global EMD (Section IV: "the output of the neural
+network's final layer before token-level classification").
 """
 from __future__ import annotations
 
@@ -20,9 +22,15 @@ from repro.local_emd.base import (
     surface_features,
 )
 from repro.local_emd.embeddings import EmbeddingBank
-from repro.nn.mlp import MLP, AdamState
+from repro.nn.mlp import MLP, bce_grad, bce_loss, train_early_stopping
 
-__all__ = ["train_bio_tagger", "gazetteer_features", "DeepEMDSystem"]
+__all__ = [
+    "train_bio_tagger",
+    "bio_training_set",
+    "decode_bio",
+    "gazetteer_features",
+    "DeepEMDSystem",
+]
 
 
 def train_bio_tagger(
@@ -34,44 +42,52 @@ def train_bio_tagger(
     batch_size: int = 256,
     epochs: int = 12,
     patience: int = 3,
-    val_frac: float = 0.1,
     seed: int = 0,
 ) -> dict:
-    """Train a (n,3)-sigmoid tagger with per-class BCE + Adam.
-
-    The gradient of BCE w.r.t. the sigmoid input is ``p - y``; we feed
-    ``(p - y) / (p (1-p))`` through the sigmoid layer's backward pass,
-    which reduces to the same thing while keeping the layer abstraction.
-    """
+    """Train a (n,3)-sigmoid tagger with per-class BCE through
+    ``train_early_stopping``, holding out a random 10% of the tokens for
+    validation. The generator that drew the split then shuffles the
+    minibatches."""
     rng = np.random.default_rng(seed)
-    n = X.shape[0]
-    order = rng.permutation(n)
-    n_val = max(1, int(n * val_frac))
+    order = rng.permutation(X.shape[0])
+    n_val = max(1, int(X.shape[0] * 0.1))
     val_idx, tr_idx = order[:n_val], order[n_val:]
     Xtr, Ytr, Xval, Yval = X[tr_idx], Y[tr_idx], X[val_idx], Y[val_idx]
-    state = AdamState.for_layers(model.layers)
-    best_val = np.inf
-    best = model.to_arrays()
-    stale = 0
-    for _epoch in range(epochs):
-        perm = rng.permutation(len(Xtr))
-        for s in range(0, len(Xtr), batch_size):
-            idx = perm[s : s + batch_size]
-            p = model.forward(Xtr[idx])
-            p_c = np.clip(p, 1e-7, 1 - 1e-7)
-            grad = (p_c - Ytr[idx]) / (p_c * (1 - p_c)) / len(idx)
-            model.adam_step(model.backward(grad), state, lr)
-        pv = np.clip(model.forward(Xval), 1e-7, 1 - 1e-7)
-        val = float(-(Yval * np.log(pv) + (1 - Yval) * np.log(1 - pv)).mean())
-        if val < best_val - 1e-6:
-            best_val, stale = val, 0
-            best = model.to_arrays()
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    model.layers = MLP.from_arrays(best).layers
-    return {"best_val_loss": best_val}
+    return train_early_stopping(
+        model,
+        len(tr_idx),
+        lambda idx: model.backward(bce_grad(model.forward(Xtr[idx]), Ytr[idx], 1e-7)),
+        lambda: bce_loss(model.forward(Xval), Yval, 1e-7),
+        rng=rng,
+        lr=lr,
+        batch_size=batch_size,
+        epochs=epochs,
+        patience=patience,
+    )
+
+
+def bio_training_set(tweets: pd.DataFrame, gold: pd.DataFrame, features) -> tuple:
+    """Stack every training sentence's token features and one-hot gold
+    O/B/I tags into ``(X, Y)`` float32 arrays.
+
+    ``features(tokens, tweet_id, sent_id)`` gives one sentence's
+    ``(n_tokens, n_features)`` matrix.
+    """
+    gold_by_sent: dict = {}
+    for r in gold.itertuples():
+        gold_by_sent.setdefault((r.tweet_id, r.sent_id), []).append((r.start, r.length))
+    Xs, Ys = [], []
+    for r in tweets.itertuples():
+        toks = list(r.tokens)
+        Xs.append(features(toks, int(r.tweet_id), int(r.sent_id)))
+        tags = spans_to_bio(len(toks), gold_by_sent.get((r.tweet_id, r.sent_id), []))
+        Ys.append(np.eye(3, dtype=np.float32)[tags])
+    return np.concatenate(Xs).astype(np.float32), np.concatenate(Ys)
+
+
+def decode_bio(model: MLP, X: np.ndarray) -> list:
+    """``(start, length)`` spans of the most probable O/B/I tag per token."""
+    return bio_to_spans(np.argmax(model.forward(X), axis=1))
 
 
 def gazetteer_features(tokens: list, unigram_keys: set, all_tokens: set) -> np.ndarray:
@@ -84,12 +100,6 @@ def gazetteer_features(tokens: list, unigram_keys: set, all_tokens: set) -> np.n
         f[i, 0] = low in unigram_keys
         f[i, 1] = low in all_tokens
     return f
-
-
-def _one_hot_bio(tags: np.ndarray) -> np.ndarray:
-    Y = np.zeros((len(tags), 3), dtype=np.float32)
-    Y[np.arange(len(tags)), tags] = 1.0
-    return Y
 
 
 class DeepEMDSystem(LocalEMDSystem):
@@ -140,19 +150,7 @@ class DeepEMDSystem(LocalEMDSystem):
         return np.concatenate(parts, axis=1)
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
-        gold_by_sent: dict = {}
-        for r in train_gold.itertuples():
-            gold_by_sent.setdefault((r.tweet_id, r.sent_id), []).append(
-                (r.start, r.length)
-            )
-        Xs, Ys = [], []
-        for r in train_tweets.itertuples():
-            toks = list(r.tokens)
-            Xs.append(self._features(toks, int(r.tweet_id), int(r.sent_id)))
-            tags = spans_to_bio(len(toks), gold_by_sent.get((r.tweet_id, r.sent_id), []))
-            Ys.append(_one_hot_bio(tags))
-        X = np.concatenate(Xs).astype(np.float32)
-        Y = np.concatenate(Ys).astype(np.float32)
+        X, Y = bio_training_set(train_tweets, train_gold, self._features)
         sizes = [self.n_features, *self.hidden, 3]
         acts = ["relu"] * len(self.hidden) + ["sigmoid"]
         self.model = MLP.build(sizes, acts, seed=self.seed)
@@ -168,8 +166,7 @@ class DeepEMDSystem(LocalEMDSystem):
         self._check_fitted()
         if not tokens:
             return []
-        p = self.model.forward(self._features(tokens, tweet_id, sent_id))
-        return bio_to_spans(np.argmax(p, axis=1))
+        return decode_bio(self.model, self._features(tokens, tweet_id, sent_id))
 
     def entity_aware_embeddings(
         self, tokens: list, tweet_id: int, sent_id: int

@@ -40,12 +40,8 @@ class NPChunker(LocalEMDSystem):
     name = "NP Chunker"
     is_deep = False
 
-    def __init__(self, long_word: int = 8, min_singleton: int = 1):
+    def __init__(self, long_word: int = 8):
         self.long_word = long_word
-        # optional length floor for lone mid-sentence capitals; inert by
-        # default (calibration showed it trades recall without improving
-        # precision — emphasis-capitalized words are not short here)
-        self.min_singleton = min_singleton
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
         """Rule-based: nothing to train."""
@@ -66,13 +62,8 @@ class NPChunker(LocalEMDSystem):
                 while j < n and not is_special(tokens[j]) and _cap_like(tokens[j]):
                     j += 1
                 length = j - i
-                # a lone capitalized sentence-starter is ambiguous unless
-                # long; a lone mid-sentence capital must look nounish
-                if length == 1 and i == 0 and len(tokens[0]) < self.long_word:
-                    pass
-                elif length == 1 and len(tokens[i]) < self.min_singleton:
-                    pass
-                else:
+                # a lone capitalized sentence-starter is ambiguous unless long
+                if not (length == 1 and i == 0 and len(tokens[0]) < self.long_word):
                     spans.append((i, length))
                 i = j
             else:

@@ -1,9 +1,10 @@
-"""TwitterNLP-style Local EMD: a linear discriminative BIO tagger.
+"""TwitterNLP-style Local EMD: a shallow discriminative BIO tagger.
 
 Stand-in for Ritter et al.'s TwitterNLP (T-POS/T-CHUNK/T-CAP features
 feeding a CRF segmenter T-SEG). The production CRF pipeline is not
-available offline; this reproduction keeps the model *class* — a linear
-discriminative tagger over handcrafted surface features including an
+available offline; this reproduction keeps the model *class* — a
+discriminative tagger (here a 24-unit ReLU MLP with an O/B/I sigmoid
+head) over handcrafted surface features including an
 incomplete gazetteer (the paper's Freebase type-lists) and a
 capitalization-informativeness signal (T-CAP's role is played by the
 sentence-nondiscriminative feature) — trained on the WNUT17-train
@@ -17,13 +18,13 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from repro.local_emd.base import (
-    LocalEMDSystem,
-    bio_to_spans,
-    spans_to_bio,
-    surface_features,
+from repro.local_emd.base import LocalEMDSystem, surface_features
+from repro.local_emd.deep import (
+    bio_training_set,
+    decode_bio,
+    gazetteer_features,
+    train_bio_tagger,
 )
-from repro.local_emd.deep import gazetteer_features, train_bio_tagger
 from repro.nn.mlp import MLP
 
 __all__ = ["TwitterNLP"]
@@ -33,7 +34,7 @@ _N_CTX_BUCKETS = 16
 
 
 class TwitterNLP(LocalEMDSystem):
-    """Linear (logistic) BIO tagger with gazetteer + frequency features."""
+    """24-unit ReLU MLP BIO tagger with gazetteer + frequency features."""
 
     name = "TwitterNLP"
     is_deep = False
@@ -88,21 +89,9 @@ class TwitterNLP(LocalEMDSystem):
             for t in toks:
                 low = t.lower()
                 self.freq[low] = self.freq.get(low, 0) + 1
-        gold_by_sent: dict = {}
-        for r in train_gold.itertuples():
-            gold_by_sent.setdefault((r.tweet_id, r.sent_id), []).append(
-                (r.start, r.length)
-            )
-        Xs, Ys = [], []
-        for r in train_tweets.itertuples():
-            toks = list(r.tokens)
-            Xs.append(self._features(toks))
-            tags = spans_to_bio(len(toks), gold_by_sent.get((r.tweet_id, r.sent_id), []))
-            Y = np.zeros((len(toks), 3), dtype=np.float32)
-            Y[np.arange(len(toks)), tags] = 1.0
-            Ys.append(Y)
-        X = np.concatenate(Xs).astype(np.float32)
-        Y = np.concatenate(Ys).astype(np.float32)
+        X, Y = bio_training_set(
+            train_tweets, train_gold, lambda toks, _tid, _sid: self._features(toks)
+        )
         # small hidden layer: stands in for the CRF's feature conjunctions
         # (a purely linear tagger under-fits the cap x gazetteer x
         # frequency interactions the paper's T-SEG feature set encodes)
@@ -116,5 +105,4 @@ class TwitterNLP(LocalEMDSystem):
             raise RuntimeError("TwitterNLP: call fit() before tagging")
         if not tokens:
             return []
-        p = self.model.forward(self._features(tokens))
-        return bio_to_spans(np.argmax(p, axis=1))
+        return decode_bio(self.model, self._features(tokens))

@@ -1,12 +1,17 @@
 """Minimal numpy neural-network substrate.
 
-The paper's learned components (deep Local EMD taggers, the Entity
-Phrase Embedder's dense layer, the Entity Classifier, and the HIRE-NER
-baseline's decoder) are feed-forward networks trained with Adam. No deep
-learning framework ships in this container, so this module implements
-exactly what those components need: dense ReLU/sigmoid/linear stacks,
-binary cross-entropy and MSE objectives, minibatch Adam, and
-validation-loss early stopping. Everything is deterministic in ``seed``.
+The paper's learned components (the learned Local EMD taggers, the
+Entity Phrase Embedder's dense layer, the Entity Classifier, and the
+HIRE-NER baseline's decoder) are feed-forward networks trained with one
+recipe. No deep learning framework is a dependency, so this module
+implements exactly what those components need: dense
+ReLU/sigmoid/linear stacks with backprop, the clipped binary
+cross-entropy loss and its gradient, and ``train_early_stopping`` — the
+one minibatch-Adam loop with a validation check each epoch, early
+stopping and best-checkpoint restore. Each caller supplies its own
+objective as a per-minibatch gradient function and a validation-loss
+function. Everything is deterministic in the seeds and generators the
+callers pass.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dense", "MLP", "AdamState", "train_classifier", "train_regression"]
+__all__ = ["Dense", "MLP", "AdamState", "bce_loss", "bce_grad", "train_early_stopping"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -161,98 +166,57 @@ class MLP:
         return MLP([Dense(W, b, act) for W, b, act in arrays])
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy with clipping."""
-    p = np.clip(p, 1e-9, 1 - 1e-9)
+def bce_loss(p: np.ndarray, y: np.ndarray, clip: float = 1e-9) -> float:
+    """Mean binary cross-entropy of probabilities ``p`` clipped to
+    ``[clip, 1 - clip]``."""
+    p = np.clip(p, clip, 1 - clip)
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
 
 
-def train_classifier(
-    model: MLP,
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
-    lr: float,
-    batch_size: int,
-    epochs: int,
-    patience: int,
-    seed: int = 0,
-    verbose: bool = False,
-) -> dict:
-    """Train a sigmoid-output binary classifier with BCE + Adam.
+def bce_grad(p: np.ndarray, y: np.ndarray, clip: float) -> np.ndarray:
+    """dL/dp of the per-row BCE summed over columns and averaged over rows.
 
-    Implements the paper's recipe: fixed learning rate, minibatches,
-    validation check each epoch, best-checkpoint restore, early stopping
-    after ``patience`` epochs without validation-loss improvement.
-    Returns a history dict with ``best_val_loss`` and ``best_epoch``.
+    The final sigmoid is a layer of its own, so the gradient enters its
+    backward pass as ``(p - y) / (p (1 - p))``, which that pass reduces
+    to the usual ``p - y`` at the logit.
     """
-    rng = np.random.default_rng(seed)
-    state = AdamState.for_layers(model.layers)
-    best_val = np.inf
-    best_arrays = model.to_arrays()
-    best_epoch = 0
-    stale = 0
-    n = X.shape[0]
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = X[idx], y[idx]
-            p = model.forward(xb).ravel()
-            # d(BCE)/d(sigmoid-logit) simplifies, but we treat the final
-            # sigmoid as a layer, so pass dL/dp through its backward.
-            p_c = np.clip(p, 1e-9, 1 - 1e-9)
-            grad = ((p_c - yb) / (p_c * (1 - p_c)))[:, None] / len(idx)
-            grads = model.backward(grad)
-            model.adam_step(grads, state, lr)
-        val_p = model.forward(X_val).ravel()
-        val_loss = bce_loss(val_p, y_val)
-        if val_loss < best_val - 1e-6:
-            best_val, best_epoch, stale = val_loss, epoch, 0
-            best_arrays = model.to_arrays()
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-        if verbose and epoch % 10 == 0:
-            print(f"epoch {epoch}: val_loss={val_loss:.4f}")
-    model.layers = MLP.from_arrays(best_arrays).layers
-    return {"best_val_loss": best_val, "best_epoch": best_epoch}
+    p = np.clip(p, clip, 1 - clip)
+    return (p - y) / (p * (1 - p)) / len(y)
 
 
-def train_regression(
+def train_early_stopping(
     model: MLP,
-    X: np.ndarray,
-    y: np.ndarray,
+    n: int,
+    grad_fn,
+    val_loss_fn,
     *,
-    X_val: np.ndarray,
-    y_val: np.ndarray,
+    rng: np.random.Generator,
     lr: float,
     batch_size: int,
     epochs: int,
     patience: int,
-    seed: int = 0,
 ) -> dict:
-    """Train a linear-output regressor with MSE + Adam (same recipe)."""
-    rng = np.random.default_rng(seed)
+    """Train ``model`` with the paper's recipe and keep its best checkpoint.
+
+    Each epoch shuffles the ``n`` training rows with ``rng``, takes one
+    Adam step per minibatch with the per-layer ``(dW, db)`` list that
+    ``grad_fn(idx)`` returns for the row indices ``idx``, then calls
+    ``val_loss_fn()``. Training stops after ``patience`` epochs without
+    a validation-loss improvement of more than 1e-6, and the weights of
+    the best epoch are restored. Returns ``best_val_loss`` and
+    ``best_epoch``.
+    """
     state = AdamState.for_layers(model.layers)
     best_val = np.inf
     best_arrays = model.to_arrays()
     best_epoch = 0
     stale = 0
-    n = X.shape[0]
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            pred = model.forward(X[idx]).ravel()
-            grad = (2.0 * (pred - y[idx]) / len(idx))[:, None]
-            grads = model.backward(grad)
-            model.adam_step(grads, state, lr)
-        val_loss = float(((model.forward(X_val).ravel() - y_val) ** 2).mean())
-        if val_loss < best_val - 1e-7:
+            model.adam_step(grad_fn(order[start : start + batch_size]), state, lr)
+        val_loss = val_loss_fn()
+        if val_loss < best_val - 1e-6:
             best_val, best_epoch, stale = val_loss, epoch, 0
             best_arrays = model.to_arrays()
         else:

@@ -15,9 +15,9 @@ Streaming job over a file source of tweet micro-batches:
   known so far, incremental CandidateBase (sum, count) pooling, and
   re-classification — gamma (ambiguous) candidates gain evidence as new
   mentions arrive, exactly the paper's incremental design;
-- ``windowed_mention_counts`` is a declarative windowed view of Local
-  EMD's own tags: event-time windows of per-candidate tag counts
-  maintained by the engine (no CTrie scan).
+- ``windowed_tag_counts`` is a declarative windowed view of Local
+  EMD's own tags: event-time windows of per-key tag counts maintained
+  by the engine (no CTrie scan).
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from repro.streams.generator import TweetDataset
 __all__ = [
     "write_stream_batches",
     "StreamingGlobalizer",
-    "windowed_mention_counts",
+    "windowed_tag_counts",
     "STREAM_SCHEMA",
 ]
 
@@ -177,7 +177,7 @@ class StreamingGlobalizer:
         query.awaitTermination(timeout_seconds)
 
 
-def windowed_mention_counts(
+def windowed_tag_counts(
     stream_df: DataFrame,
     system,
     *,
@@ -185,7 +185,8 @@ def windowed_mention_counts(
     watermark: str = "120 seconds",
 ) -> DataFrame:
     """Per-event-time-window, per-key counts of Local EMD's tags (the
-    mentions Local EMD itself emits, not a CTrie scan).
+    mentions ``system.tag_pandas`` emits, not a CTrie scan); each tag
+    takes its sentence's ``ts``.
 
     ``system`` is a *fitted* Local EMD system shipped in the closure;
     the result is a streaming aggregation suitable for a memory/console
@@ -199,19 +200,11 @@ def windowed_mention_counts(
     )
 
     def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from repro.local_emd.base import is_special
-
         for pdf in batches:
-            rows = []
-            for r in pdf.itertuples():
-                for start, length in system.tag_sentence(
-                    list(r.tokens), int(r.tweet_id), int(r.sent_id)
-                ):
-                    span = list(r.tokens)[start : start + length]
-                    if any(is_special(t) for t in span):
-                        continue
-                    rows.append((r.ts, " ".join(t.lower() for t in span)))
-            yield pd.DataFrame(rows, columns=["ts", "key"])
+            tags = system.tag_pandas(pdf)
+            yield pdf[["tweet_id", "sent_id", "ts"]].merge(
+                tags, on=["tweet_id", "sent_id"]
+            )[["ts", "key"]]
 
     tagged = stream_df.mapInPandas(tag, schema=out_schema)
     return (

@@ -70,7 +70,7 @@ class TestTraining:
         embs, keys, labels = self._separable(n=100)
         clf = EntityClassifier.build(6, seed=1)
         clf.train(embs, keys, labels, epochs=30, patience=10, seed=1)
-        out = clf.classify(embs, keys)
+        out = [clf.bucket(p) for p in clf.scores(embs, keys)]
         assert set(out) <= {LABEL_ENTITY, LABEL_NON, LABEL_AMBIG}
 
     def test_untrained_validation_f1_is_nan(self):

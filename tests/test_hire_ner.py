@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.hire_ner import HireNER
+from repro.baselines.hire_ner import HireNER, memory_from_sums, token_sums
 from repro.eval.metrics import score_mentions
 from repro.streams import generator as gen
 
@@ -17,7 +17,7 @@ def hire(vocab, train_small, aguilar):
 class TestMemory:
     def test_driver_memory_mean_of_contextuals(self, hire, train_small):
         sub = train_small.tweets.head(30)
-        mem = hire._memory(sub)
+        mem = memory_from_sums(token_sums(hire.bank, sub))
         # recompute one token's mean by hand
         tok = next(t.lower() for toks in sub["tokens"] for t in toks)
         vecs = []
@@ -29,7 +29,8 @@ class TestMemory:
 
     def test_spark_memory_matches_driver(self, spark, hire, train_small):
         sub = train_small.tweets.head(60)
-        driver_mem = hire._memory(sub)
+        # driver side: the whole frame as one partial sum
+        driver_mem = memory_from_sums(token_sums(hire.bank, sub))
         spark_mem = hire.build_memory(spark, spark.createDataFrame(sub))
         assert set(spark_mem) == set(driver_mem)
         for tok in list(driver_mem)[:25]:

@@ -2,15 +2,16 @@
 import numpy as np
 import pytest
 
+from repro.core.phrase_embedder import _cosine_and_grads
 from repro.nn.mlp import (
     MLP,
     AdamState,
     Dense,
+    bce_grad,
     bce_loss,
     relu,
     sigmoid,
-    train_classifier,
-    train_regression,
+    train_early_stopping,
 )
 
 
@@ -121,58 +122,101 @@ class TestMLP:
         assert state.t == 1
 
 
-class TestTraining:
-    def _blobs(self, n=400, seed=0):
-        rng = np.random.default_rng(seed)
-        X0 = rng.normal(loc=-1.0, size=(n // 2, 4))
-        X1 = rng.normal(loc=1.0, size=(n // 2, 4))
-        X = np.vstack([X0, X1]).astype(np.float64)
-        y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
-        idx = rng.permutation(n)
-        return X[idx], y[idx]
+def _blobs(n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    X0 = rng.normal(loc=-1.0, size=(n // 2, 4))
+    X1 = rng.normal(loc=1.0, size=(n // 2, 4))
+    X = np.vstack([X0, X1]).astype(np.float64)
+    y = np.concatenate([np.zeros(n // 2), np.ones(n // 2)])
+    idx = rng.permutation(n)
+    return X[idx], y[idx]
 
+
+def _bce_objective(model, X, Y, n_train, clip):
+    """(grad_fn, val_loss_fn) of sigmoid-output BCE, training on the
+    first ``n_train`` rows and validating on the rest."""
+    Xtr, Ytr, Xv, Yv = X[:n_train], Y[:n_train], X[n_train:], Y[n_train:]
+    return (
+        lambda idx: model.backward(bce_grad(model.forward(Xtr[idx]), Ytr[idx], clip)),
+        lambda: bce_loss(model.forward(Xv), Yv, clip),
+    )
+
+
+def _objective(kind):
+    """``(model, n_train, grad_fn, val_loss_fn)`` for each objective the
+    shared loop serves: the Entity Classifier's single-output BCE, the
+    taggers' 3-way O/B/I BCE and the phrase embedder's siamese cosine
+    regression."""
+    if kind == "bce":
+        X, y = _blobs()
+        model = MLP.build([4, 4, 1], ["relu", "sigmoid"], seed=1)
+        return (model, 300, *_bce_objective(model, X, y[:, None], 300, 1e-9))
+    if kind == "bio_bce":
+        X, _ = _blobs()
+        Y = np.zeros((len(X), 3))
+        Y[np.arange(len(X)), np.digitize(X[:, 0], [-0.5, 0.5])] = 1.0
+        model = MLP.build([4, 8, 3], ["relu", "sigmoid"], seed=1)
+        return (model, 300, *_bce_objective(model, X, Y, 300, 1e-7))
+    # siamese cosine: similarity carried by the first 2 of 6 dims
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(400, 6))
+    sim = rng.random(400)
+    B = A * sim[:, None] + rng.normal(size=(400, 6)) * (1 - sim[:, None])
+    model = MLP([Dense.init(6, 3, "linear", rng)])
+
+    def grad_fn(idx):
+        _, dU, dV = _cosine_and_grads(model.forward(A[idx]), model.forward(B[idx]), sim[idx])
+        return [(A[idx].T @ dU + B[idx].T @ dV, dU.sum(axis=0) + dV.sum(axis=0))]
+
+    def val_loss_fn():
+        cos, _, _ = _cosine_and_grads(model.forward(A[300:]), model.forward(B[300:]), sim[300:])
+        return float(((cos - sim[300:]) ** 2).mean())
+
+    return model, 300, grad_fn, val_loss_fn
+
+
+OBJECTIVES = ["bce", "bio_bce", "cosine"]
+
+
+class TestTraining:
     def test_classifier_learns_separable_blobs(self):
-        X, y = self._blobs()
+        X, y = _blobs()
         m = MLP.build([4, 8, 1], ["relu", "sigmoid"], seed=1)
-        hist = train_classifier(
-            m, X[:300], y[:300], X_val=X[300:], y_val=y[300:],
-            lr=0.01, batch_size=32, epochs=60, patience=10,
+        hist = train_early_stopping(
+            m, 300, *_bce_objective(m, X, y[:, None], 300, 1e-9),
+            rng=np.random.default_rng(0), lr=0.01, batch_size=32, epochs=60, patience=10,
         )
         acc = ((m.forward(X[300:]).ravel() > 0.5) == y[300:]).mean()
         assert acc > 0.95
         assert hist["best_val_loss"] < 0.3
 
-    def test_classifier_early_stops(self):
-        X, y = self._blobs()
-        m = MLP.build([4, 4, 1], ["relu", "sigmoid"], seed=1)
-        hist = train_classifier(
-            m, X[:300], y[:300], X_val=X[300:], y_val=y[300:],
-            lr=0.05, batch_size=32, epochs=500, patience=3,
+    @pytest.mark.parametrize("kind", OBJECTIVES)
+    def test_classifier_early_stops(self, kind):
+        model, n, grad_fn, val_loss_fn = _objective(kind)
+        calls = []
+
+        def counted():
+            calls.append(val_loss_fn())
+            return calls[-1]
+
+        hist = train_early_stopping(
+            model, n, grad_fn, counted,
+            rng=np.random.default_rng(0), lr=0.05, batch_size=32, epochs=500, patience=3,
         )
-        # with patience 3 on an easy problem, must stop well before 500
+        # with patience 3 on an easy problem, must stop well before 500,
+        # exactly 3 epochs after the best one
         assert hist["best_epoch"] < 490
+        assert len(calls) == hist["best_epoch"] + 3 + 1
+        assert calls[hist["best_epoch"]] == hist["best_val_loss"]
 
-    def test_classifier_restores_best_checkpoint(self):
-        X, y = self._blobs()
-        m = MLP.build([4, 4, 1], ["relu", "sigmoid"], seed=1)
-        hist = train_classifier(
-            m, X[:300], y[:300], X_val=X[300:], y_val=y[300:],
-            lr=0.05, batch_size=32, epochs=40, patience=5,
+    @pytest.mark.parametrize("kind", OBJECTIVES)
+    def test_classifier_restores_best_checkpoint(self, kind):
+        model, n, grad_fn, val_loss_fn = _objective(kind)
+        hist = train_early_stopping(
+            model, n, grad_fn, val_loss_fn,
+            rng=np.random.default_rng(0), lr=0.05, batch_size=32, epochs=40, patience=5,
         )
-        val = bce_loss(m.forward(X[300:]).ravel(), y[300:])
-        assert val == pytest.approx(hist["best_val_loss"], rel=1e-6)
-
-    def test_regression_fits_linear_map(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(500, 3))
-        w = np.array([1.0, -2.0, 0.5])
-        y = X @ w
-        m = MLP.build([3, 1], ["linear"], seed=2)
-        hist = train_regression(
-            m, X[:400], y[:400], X_val=X[400:], y_val=y[400:],
-            lr=0.05, batch_size=32, epochs=200, patience=20,
-        )
-        assert hist["best_val_loss"] < 1e-3
+        assert val_loss_fn() == hist["best_val_loss"]
 
     def test_bce_loss_perfect_prediction_near_zero(self):
         assert bce_loss(np.array([1e-9, 1 - 1e-9]), np.array([0.0, 1.0])) < 1e-6

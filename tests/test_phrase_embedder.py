@@ -87,13 +87,19 @@ class TestTraining:
         Vv = B[-100:] @ pe0.W + pe0.b
         cos0, _, _ = _cosine_and_grads(U, Vv, y[-100:])
         loss0 = ((cos0 - y[-100:]) ** 2).mean()
-        pe, hist = train_phrase_embedder(A, B, y, d_out=4, epochs=60, patience=15, seed=9)
+        pe, hist = train_phrase_embedder(
+            A[:-100], B[:-100], y[:-100],
+            d_out=4, val_split=(A[-100:], B[-100:], y[-100:]), epochs=60, patience=15, seed=9,
+        )
         assert hist["best_val_loss"] < loss0
 
     def test_early_stopping_bounds_epochs(self):
         A, B, y = self._toy_pairs(n=200)
-        _, hist = train_phrase_embedder(A, B, y, d_out=4, epochs=1000, patience=3, seed=1)
-        assert "best_val_loss" in hist
+        _, hist = train_phrase_embedder(
+            A[:160], B[:160], y[:160],
+            d_out=4, val_split=(A[160:], B[160:], y[160:]), epochs=1000, patience=3, seed=1,
+        )
+        assert hist["best_epoch"] < 1000 - 3
 
     def test_explicit_val_split(self):
         A, B, y = self._toy_pairs(n=300)

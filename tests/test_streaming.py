@@ -13,7 +13,7 @@ from repro.oracle import assert_equivalent
 from repro.streaming.job import (
     STREAM_SCHEMA,
     StreamingGlobalizer,
-    windowed_mention_counts,
+    windowed_tag_counts,
     write_stream_batches,
 )
 from repro.streams import generator as gen
@@ -146,7 +146,7 @@ class TestWindowedCounts:
             .option("maxFilesPerTrigger", 1)
             .json(str(td))
         )
-        counts = windowed_mention_counts(
+        counts = windowed_tag_counts(
             stream, aguilar_variant.system, window_duration="600 seconds"
         )
         prev_tz = spark.conf.get("spark.sql.session.timeZone")

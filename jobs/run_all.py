@@ -1,84 +1,41 @@
-"""Run every experiment at full scale and write results to a directory.
+"""Regenerate the paper's tables and write each one to ``<out>/<name>.txt``.
 
-Builds each framework variant once and reuses it across Tables II, III,
-IV, the ablation, and the error analysis (the per-table jobs rebuild
-variants independently; this runner is the economical way to regenerate
-EXPERIMENTS.md in one pass).
+Each NAME is an output-file stem from ``repro.eval.experiments.TABLES``:
+``table1 table2 table3 table4 ablation error_analysis``; with none, all
+six run. Each framework variant the named tables need is built once and
+shared between them.
 
-Usage: ``python jobs/run_all.py [--out experiments_out] [--scale 1.0]
-[--d5-scale 0.2]``
+Usage: ``python jobs/run_all.py [NAME ...] [--out experiments_out]
+[--scale 1.0] [--d5-scale 0.2]``
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 
 from _session import get_spark
 
-from repro.eval.experiments import (
-    fitted_variants,
-    run_ablation,
-    run_error_analysis,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
+from repro.eval.experiments import DEFAULT_D5_SCALE, TABLES, run_tables
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
+    ap.add_argument("names", nargs="*", metavar="NAME", help=" ".join(TABLES))
     ap.add_argument("--out", type=str, default="experiments_out")
     ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--d5-scale", type=float, default=0.2)
+    ap.add_argument("--d5-scale", type=float, default=DEFAULT_D5_SCALE)
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     spark = get_spark("run-all")
-
-    def save(name: str, text: str) -> None:
-        with open(os.path.join(args.out, name), "w") as f:
-            f.write(text)
-        print(f"== wrote {name} ==\n{text}\n", flush=True)
-
     t0 = time.time()
-    save("table1.txt", run_table1(scale=args.scale).to_string(index=False))
-    print(f"[t={time.time() - t0:.0f}s] building variants...", flush=True)
-    variants = fitted_variants(spark, scale=args.scale, d5_scale=args.d5_scale)
-    print(f"[t={time.time() - t0:.0f}s] variants built", flush=True)
-    save("table2.txt", run_table2(variants).to_string(index=False))
-
-    t3 = run_table3(spark, variants, scale=args.scale)
-    streaming = t3[t3["dataset"].isin(["d1", "d2", "d3", "d4"])]
-    nonstreaming = t3[t3["dataset"].isin(["wnut17", "btc"])]
-    summary = [
-        f"overall avg F1 gain: {t3['f1_gain_pct'].mean():.2f}% (paper 25.61%)",
-        f"streaming avg F1 gain: {streaming['f1_gain_pct'].mean():.2f}% (paper 30.29%)",
-        f"non-streaming avg F1 gain: {nonstreaming['f1_gain_pct'].mean():.2f}% (paper 15.53%)",
-    ]
-    for sys_name, grp in t3.groupby("system"):
-        summary.append(f"{sys_name} avg gain: {grp['f1_gain_pct'].mean():.2f}%")
-    save("table3.txt", t3.to_string(index=False) + "\n\n" + "\n".join(summary))
-
-    save(
-        "table4.txt",
-        run_table4(spark, variants["Aguilar et al."], scale=args.scale).to_string(
-            index=False
-        ),
+    texts = run_tables(
+        spark, args.names or list(TABLES), scale=args.scale, d5_scale=args.d5_scale
     )
-    save(
-        "ablation.txt",
-        run_ablation(spark, variants["Aguilar et al."], scale=args.scale).to_string(
-            index=False
-        ),
-    )
-    save(
-        "error_analysis.txt",
-        json.dumps(
-            run_error_analysis(spark, variants["BERTweet"], scale=args.scale), indent=2
-        ),
-    )
+    for name, text in texts.items():
+        with open(os.path.join(args.out, f"{name}.txt"), "w") as f:
+            f.write(text)
+        print(f"== wrote {name}.txt ==\n{text}\n", flush=True)
     print(f"[t={time.time() - t0:.0f}s] done", flush=True)
     spark.stop()
 

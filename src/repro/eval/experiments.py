@@ -1,41 +1,69 @@
-"""Table-level experiment runners shared by jobs/ and benchmarks/.
+"""Experiment runners: the paper's Tables I-IV, the Fig. 6 ablation and
+the Section VI-C error analysis.
 
 Each ``run_tableN`` reproduces one evaluation table of the paper on the
 synthetic corpora and returns a pandas frame with the measured numbers
-next to the paper's. ``scale``/``d5_scale`` shrink corpora for tests and
-benchmarks; the jobs run at full Table I sizes with the D5 classifier
-stream at 20% (38K -> 7.6K tweets; the candidate distribution is scale-
-free, see DESIGN.md).
+next to the paper's. ``run_tables`` renders any subset of them as text,
+fitting each framework variant they need once; ``jobs/run_all.py``
+writes that text to files. ``scale``/``d5_scale`` shrink corpora for
+tests; the full run uses Table I sizes with the D5 classifier stream at
+20% (38K -> 7.6K tweets; the candidate distribution is scale-free, see
+DESIGN.md).
 """
 from __future__ import annotations
 
-import numpy as np
+import json
+from typing import NamedTuple
+
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.hire_ner import HireNER
-from repro.core.pipeline import EMDGlobalizer, FittedVariant, build_variant
+from repro.core.pipeline import (
+    EMDGlobalizer,
+    FittedVariant,
+    GlobalizerResult,
+    build_variant,
+)
 from repro.eval import paper_numbers as paper
-from repro.eval.harness import evaluate_variant
-from repro.eval.metrics import score_mentions
+from repro.eval.metrics import PRF, score_mentions
 from repro.local_emd.aguilar import make_aguilar
 from repro.local_emd.bertweet import make_bertweet
 from repro.local_emd.np_chunker import NPChunker
 from repro.local_emd.twitter_nlp import TwitterNLP
 from repro.streams import generator as gen
+from repro.streams.generator import TweetDataset
 
 __all__ = [
+    "TABLES",
+    "Cell",
     "make_system",
     "fitted_variants",
+    "run_cell",
+    "f1_gain_pct",
+    "table3_row",
     "run_table1",
     "run_table2",
     "run_table3",
     "run_table4",
     "run_ablation",
     "run_error_analysis",
+    "run_tables",
 ]
 
 DEFAULT_D5_SCALE = 0.2
+
+AGUILAR = "Aguilar et al."
+
+# output-file stem -> the Local EMD systems whose variants its text needs
+TABLES = {
+    "table1": (),
+    "table2": tuple(paper.SYSTEMS),
+    "table3": tuple(paper.SYSTEMS),
+    "table4": (AGUILAR,),
+    "ablation": (AGUILAR,),
+    "error_analysis": ("BERTweet",),
+}
 
 
 def make_system(name: str):
@@ -68,6 +96,66 @@ def fitted_variants(
             spark, make_system(name), scale=scale, d5_scale=d5_scale
         )
     return out
+
+
+class Cell(NamedTuple):
+    """One Globalizer run over a corpus, scored against its gold spans."""
+
+    result: GlobalizerResult
+    local: PRF
+    global_: PRF
+
+
+def run_cell(
+    spark: SparkSession,
+    variant: FittedVariant,
+    dataset: TweetDataset,
+    *,
+    ablation: str = "full",
+) -> Cell:
+    """Run one (variant, dataset) cell and score local vs global output."""
+    tweets_df = dataset.to_spark(spark).cache()
+    try:
+        result = EMDGlobalizer(variant).run(spark, tweets_df, ablation=ablation)
+    finally:
+        tweets_df.unpersist()
+    return Cell(
+        result,
+        score_mentions(result.local_mentions, dataset.gold),
+        score_mentions(result.final_mentions, dataset.gold),
+    )
+
+
+def f1_gain_pct(local: PRF, global_: PRF) -> float:
+    """Relative F1 gain of Global over Local EMD, in percent."""
+    if local.f1 == 0:
+        return float("inf")
+    return 100.0 * (global_.f1 - local.f1) / local.f1
+
+
+def table3_row(
+    dataset: str,
+    system: str,
+    local: PRF,
+    global_: PRF,
+    local_seconds: float,
+    global_seconds: float,
+) -> dict:
+    """Measured counterpart of one Table III row."""
+    return {
+        "dataset": dataset,
+        "system": system,
+        "local_P": round(local.precision, 3),
+        "local_R": round(local.recall, 3),
+        "local_F1": round(local.f1, 3),
+        "local_time_s": round(local_seconds, 2),
+        "global_P": round(global_.precision, 3),
+        "global_R": round(global_.recall, 3),
+        "global_F1": round(global_.f1, 3),
+        "total_time_s": round(local_seconds + global_seconds, 2),
+        "f1_gain_pct": round(f1_gain_pct(local, global_), 1),
+        "time_overhead_s": round(global_seconds, 2),
+    }
 
 
 def run_table1(*, scale: float = 1.0) -> pd.DataFrame:
@@ -111,14 +199,23 @@ def run_table3(
     for ds_name in datasets or paper.DATASETS:
         ds = gen.generate(ds_name, scale=scale)
         for sys_name, variant in variants.items():
-            r = evaluate_variant(spark, variant, ds).row()
+            res, local, glob = run_cell(spark, variant, ds)
             ref = paper.TABLE3.get((ds_name, sys_name), {})
-            r.update(
-                paper_local_F1=ref.get("lF1"),
-                paper_global_F1=ref.get("gF1"),
-                paper_gain_pct=ref.get("gain"),
+            rows.append(
+                {
+                    **table3_row(
+                        ds.name,
+                        variant.system.name,
+                        local,
+                        glob,
+                        res.local_seconds,
+                        res.global_seconds,
+                    ),
+                    "paper_local_F1": ref.get("lF1"),
+                    "paper_global_F1": ref.get("gF1"),
+                    "paper_gain_pct": ref.get("gain"),
+                }
             )
-            rows.append(r)
     return pd.DataFrame(rows)
 
 
@@ -140,14 +237,9 @@ def run_table4(
     rows = []
     for ds_name in datasets or paper.DATASETS:
         ds = gen.generate(ds_name, scale=scale)
-        tweets_df = ds.to_spark(spark).cache()
-        try:
-            res = EMDGlobalizer(aguilar_variant).run(spark, tweets_df)
-            glob = score_mentions(res.final_mentions, ds.gold)
-            hire_pred = hire.tag(spark, tweets_df).toPandas()
-            hire_prf = score_mentions(hire_pred, ds.gold)
-        finally:
-            tweets_df.unpersist()
+        glob = run_cell(spark, aguilar_variant, ds).global_
+        hire_pred = hire.tag(spark, ds.to_spark(spark)).toPandas()
+        hire_prf = score_mentions(hire_pred, ds.gold)
         for sys_name, prf in [("EMD Globalizer", glob), ("HIRE-NER", hire_prf)]:
             ref = paper.TABLE4.get((ds_name, sys_name), {})
             rows.append(
@@ -177,8 +269,8 @@ def run_ablation(
         ds = gen.generate(ds_name, scale=scale)
         row = {"dataset": ds_name}
         for ablation in ["local", "mining", "full"]:
-            r = evaluate_variant(spark, variant, ds, ablation=ablation)
-            row[f"F1_{ablation}"] = round(r.global_.f1, 3)
+            glob = run_cell(spark, variant, ds, ablation=ablation).global_
+            row[f"F1_{ablation}"] = round(glob.f1, 3)
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -208,11 +300,7 @@ def run_error_analysis(
     bins: dict = {}
     for ds_name in datasets:
         ds = gen.generate(ds_name, scale=scale)
-        tweets_df = ds.to_spark(spark).cache()
-        try:
-            res = EMDGlobalizer(variant).run(spark, tweets_df)
-        finally:
-            tweets_df.unpersist()
+        res = run_cell(spark, variant, ds).result
         gold = ds.gold
         total_mentions += len(gold)
         total_entities.update(gold["eid"])
@@ -254,3 +342,64 @@ def run_error_analysis(
             if t > 0
         },
     }
+
+
+def _table3_text(t3: pd.DataFrame) -> str:
+    streaming = t3[t3["dataset"].isin(["d1", "d2", "d3", "d4"])]
+    nonstreaming = t3[t3["dataset"].isin(["wnut17", "btc"])]
+    summary = [
+        f"overall avg F1 gain: {t3['f1_gain_pct'].mean():.2f}% (paper 25.61%)",
+        f"streaming avg F1 gain: {streaming['f1_gain_pct'].mean():.2f}% (paper 30.29%)",
+        f"non-streaming avg F1 gain: {nonstreaming['f1_gain_pct'].mean():.2f}% (paper 15.53%)",
+    ]
+    for sys_name, grp in t3.groupby("system"):
+        summary.append(f"{sys_name} avg gain: {grp['f1_gain_pct'].mean():.2f}%")
+    return t3.to_string(index=False) + "\n\n" + "\n".join(summary)
+
+
+def _ablation_text(table: pd.DataFrame) -> str:
+    base = table["F1_local"].mean()
+    mining = 100 * (table["F1_mining"].mean() - base) / base
+    full = 100 * (table["F1_full"].mean() - base) / base
+    return (
+        table.to_string(index=False)
+        + f"\n\nmention-extraction gain: {mining:.1f}% (paper ~5.06%)"
+        + f"\nfull-framework gain:     {full:.1f}% (paper ~15.36%)"
+    )
+
+
+def run_tables(
+    spark: SparkSession,
+    names: list,
+    *,
+    scale: float = 1.0,
+    d5_scale: float = DEFAULT_D5_SCALE,
+) -> dict:
+    """Render the named ``TABLES`` entries as text, ``{name: text}`` in
+    ``TABLES`` order. Each variant the named tables need is fitted once;
+    an unknown name raises ``ValueError`` before any is fitted."""
+    unknown = sorted(set(names) - set(TABLES))
+    if unknown:
+        raise ValueError(f"unknown table(s) {unknown}; choose from {list(TABLES)}")
+    names = [n for n in TABLES if n in names]
+    systems = [s for s in paper.SYSTEMS if any(s in TABLES[n] for n in names)]
+    variants = (
+        fitted_variants(spark, systems=systems, scale=scale, d5_scale=d5_scale)
+        if systems
+        else {}
+    )
+    render = {
+        "table1": lambda: run_table1(scale=scale).to_string(index=False),
+        "table2": lambda: run_table2(variants).to_string(index=False),
+        "table3": lambda: _table3_text(run_table3(spark, variants, scale=scale)),
+        "table4": lambda: run_table4(
+            spark, variants[AGUILAR], scale=scale
+        ).to_string(index=False),
+        "ablation": lambda: _ablation_text(
+            run_ablation(spark, variants[AGUILAR], scale=scale)
+        ),
+        "error_analysis": lambda: json.dumps(
+            run_error_analysis(spark, variants["BERTweet"], scale=scale), indent=2
+        ),
+    }
+    return {n: render[n]() for n in names}

@@ -1,5 +1,5 @@
 """The paper's published numbers (Tables I–IV), transcribed for
-side-by-side reporting in the table harnesses and EXPERIMENTS.md.
+side-by-side reporting in the table runners and EXPERIMENTS.md.
 
 Execution times are the paper's Colab/T4 seconds; we report them for
 completeness but compare only the *shape* claim (Global-EMD overhead is

@@ -159,7 +159,7 @@ class StreamingGlobalizer:
         Streaming query whose ``foreachBatch`` advances this state."""
 
         def on_batch(batch_df: DataFrame, batch_id: int) -> None:
-            if batch_df.rdd.isEmpty():
+            if batch_df.isEmpty():
                 return
             self.process_batch(spark, batch_df, int(batch_id))
 

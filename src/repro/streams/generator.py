@@ -23,6 +23,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
+from repro.local_emd.base import is_special
 from repro.streams import vocab as V
 
 __all__ = ["TweetDataset", "generate", "DATASET_SPECS", "dataset_slices"]
@@ -134,14 +135,11 @@ def _zipf_weights(n: int, alpha: float) -> np.ndarray:
 def _apply_sentence_casing(tokens: list, casing: str) -> list:
     """Tweet-level non-discriminative casing (Sec V-B-1 category 6)."""
     if casing == "allcaps":
-        return [t.upper() if not t.startswith(("#", "@", "http")) else t for t in tokens]
+        return [t if is_special(t) else t.upper() for t in tokens]
     if casing == "lower":
-        return [t.lower() if not t.startswith(("#", "@", "http")) else t for t in tokens]
+        return [t if is_special(t) else t.lower() for t in tokens]
     if casing == "title":
-        return [
-            t.capitalize() if not t.startswith(("#", "@", "http")) else t
-            for t in tokens
-        ]
+        return [t if is_special(t) else t.capitalize() for t in tokens]
     return tokens
 
 
@@ -214,7 +212,7 @@ def generate(
         for kind, payload in items:
             if kind == "w":
                 w = payload
-                if not w.startswith(("#", "@", "http")):
+                if not is_special(w):
                     if w in (vocabulary.titlecase_words or ()) and rng.random() < 0.7:
                         w = w.capitalize()  # 'Monday'-type conventional caps
                     elif len(tokens) == 0 and rng.random() < 0.8:

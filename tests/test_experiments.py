@@ -1,10 +1,13 @@
-"""Smoke tests for the table-level experiment runners and the variant
-factory — small scales, asserting structure and the headline shapes."""
+"""Smoke tests for the table-level experiment runners, the Table III row
+arithmetic and the variant factory — small scales, asserting structure
+and the headline shapes."""
 import numpy as np
 import pytest
 
+from repro.eval import experiments
 from repro.eval import paper_numbers as paper
 from repro.eval.experiments import (
+    f1_gain_pct,
     make_system,
     run_ablation,
     run_error_analysis,
@@ -12,7 +15,15 @@ from repro.eval.experiments import (
     run_table2,
     run_table3,
     run_table4,
+    run_tables,
+    table3_row,
 )
+from repro.eval.metrics import PRF
+
+
+def prf(p, r):
+    f1 = 2 * p * r / (p + r) if p + r else 0.0
+    return PRF(p, r, f1, 100, 100, int(100 * r))
 
 
 class TestPaperNumbers:
@@ -130,3 +141,62 @@ class TestAblationAndErrors:
         assert len(recalls) == len(counts)
         assert all(0.0 <= r <= 1.0 for r in recalls)
         assert all(c >= 1 for c in counts)
+
+
+class TestTableIIIRow:
+    def test_gain_pct(self):
+        assert f1_gain_pct(prf(0.5, 0.5), prf(0.75, 0.75)) == pytest.approx(50.0)
+
+    def test_zero_local_f1_infinite_gain(self):
+        assert f1_gain_pct(prf(0.0, 0.0), prf(0.5, 0.5)) == float("inf")
+
+    def test_total_seconds(self):
+        row = table3_row("d1", "X", prf(0.5, 0.5), prf(0.6, 0.6), 1.5, 0.25)
+        assert row["total_time_s"] == pytest.approx(1.75)
+
+    def test_row_dict_keys(self):
+        d = table3_row("d1", "X", prf(0.5, 0.5), prf(0.6, 0.6), 1.5, 0.25)
+        assert d["dataset"] == "d1" and d["system"] == "X"
+        assert d["time_overhead_s"] == 0.25
+        assert d["local_F1"] == 0.5 and d["global_F1"] == 0.6
+
+    def test_negative_gain_possible(self):
+        # Table III must faithfully report regressions too
+        assert f1_gain_pct(prf(0.8, 0.8), prf(0.4, 0.4)) == pytest.approx(-50.0)
+
+
+class TestRunTables:
+    @pytest.fixture
+    def builds(self, monkeypatch, aguilar_variant, chunker_variant):
+        """Names of the systems ``run_tables`` builds a variant for; each
+        build returns a session variant of the same (deep or not) kind."""
+        calls = []
+
+        def fake_build_variant(spark, system, **_):
+            calls.append(system.name)
+            return aguilar_variant if system.is_deep else chunker_variant
+
+        monkeypatch.setattr(experiments, "build_variant", fake_build_variant)
+        return calls
+
+    def test_unknown_name_raises_before_building(self, spark, builds):
+        with pytest.raises(ValueError, match="table5"):
+            run_tables(spark, ["table2", "table5"], scale=0.02)
+        assert builds == []
+
+    def test_table1_builds_no_variant(self, spark, builds):
+        out = run_tables(spark, ["table1"], scale=0.02)
+        assert list(out) == ["table1"]
+        assert out["table1"] == run_table1(scale=0.02).to_string(index=False)
+        assert builds == []
+
+    def test_table2_builds_each_system_once(
+        self, spark, builds, aguilar_variant, chunker_variant
+    ):
+        out = run_tables(spark, ["table1", "table2"], scale=0.02)
+        assert sorted(builds) == sorted(paper.SYSTEMS)
+        variants = {
+            s: aguilar_variant if make_system(s).is_deep else chunker_variant
+            for s in paper.SYSTEMS
+        }
+        assert out["table2"] == run_table2(variants).to_string(index=False)

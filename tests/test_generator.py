@@ -24,6 +24,7 @@ class TestSpecs:
     def test_every_spec_generates(self, name):
         ds = gen.generate(name, scale=0.01)
         assert len(ds.tweets) >= 20
+        assert len(ds.gold) > 0
         assert ds.name == name
 
     def test_streaming_flags(self):

@@ -16,7 +16,7 @@ from repro.core.pipeline import (
     _seed_keys,
     candidate_table,
 )
-from repro.eval.harness import evaluate_variant
+from repro.eval.experiments import run_cell
 from repro.eval.metrics import score_mentions
 from repro.streams import generator as gen
 
@@ -156,7 +156,7 @@ class TestAblation:
         both on F1."""
         ds = gen.generate("d2", scale=0.25)
         rows = {
-            ab: evaluate_variant(spark, aguilar_variant, ds, ablation=ab)
+            ab: run_cell(spark, aguilar_variant, ds, ablation=ab)
             for ab in ["local", "mining", "full"]
         }
         assert rows["mining"].global_.recall > rows["local"].local.recall
@@ -189,9 +189,9 @@ class TestNonDeepVariant:
         """The syntactic-embedding (non-deep) path must also show the
         paper's boost — NP Chunker gains the most in Table III."""
         ds = gen.generate("d1", scale=0.4)
-        row = evaluate_variant(spark, chunker_variant, ds)
-        assert row.global_.f1 > row.local.f1
-        assert row.global_.precision > row.local.precision + 0.1
+        cell = run_cell(spark, chunker_variant, ds)
+        assert cell.global_.f1 > cell.local.f1
+        assert cell.global_.precision > cell.local.precision + 0.1
 
     def test_output_independent_of_partitioning(
         self, spark, chunker_variant, aguilar_variant, d1_small

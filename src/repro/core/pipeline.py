@@ -8,8 +8,10 @@ records mined from the D5 stream.
 
 ``global_emd_cycle`` is the one execution cycle on a tweet DataFrame:
 Local EMD -> seed candidates -> CTrie -> occurrence mining and local
-candidate embeddings (one Spark action) -> pooled global embeddings in
-a ``CandidateBase`` -> entity classification -> final mention output.
+candidate embeddings (``mine_and_embed``: one scan of the tweets, one
+Spark action; on the deep path no join or shuffle) -> pooled global
+embeddings in a ``CandidateBase`` -> entity classification -> final
+mention output.
 ``EMDGlobalizer.run`` runs it from fresh state (batch mode, with
 Figure 6's ablation switches ``local`` / ``mining`` / ``full``),
 ``candidate_table`` runs it without the classifier to build the
@@ -28,7 +30,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
 from repro.core.entity_classifier import EntityClassifier
-from repro.core.mention_extraction import MINED_SCHEMA, collect_local_embeddings, extract_mentions
+from repro.core.mention_extraction import MINED_SCHEMA, mine_and_embed
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
     pooled_sentence_embeddings,
@@ -133,7 +135,8 @@ def global_emd_cycle(
 
     Tags the batch with Local EMD, inserts its seed candidates into
     ``ctrie``, mines and embeds every mention of every ``ctrie``
-    candidate in one Spark action, and adds the mentions to
+    candidate with ``mine_and_embed`` (one scan of the tweets, collected
+    in one Spark action), and adds the mentions to
     ``candidate_base``'s pooled (sum, count). With a ``classifier``,
     every candidate is then re-labelled and the final mentions are the
     batch's mentions of entity candidates. ``ctrie`` and
@@ -147,8 +150,7 @@ def global_emd_cycle(
         ctrie.insert(key)
     mined = pd.DataFrame(columns=MINED_SCHEMA.fieldNames())
     if len(ctrie):
-        mined_df = extract_mentions(spark, tweets_df, ctrie)
-        emb_df = collect_local_embeddings(spark, tweets_df, mined_df, system, phrase_embedder)
+        emb_df = mine_and_embed(spark, tweets_df, ctrie, system, phrase_embedder)
         mined, embs = _collect_mentions(emb_df, candidate_base.d_emb)
         candidate_base.add_mentions(mined["key"].to_numpy(), embs)
         if classifier is not None:

@@ -122,19 +122,22 @@ class StreamingGlobalizer:
         self, spark: SparkSession, batch_df: DataFrame, batch_id: int
     ) -> BatchOutput:
         """One ``global_emd_cycle`` (Section III steps 2–3) on a
-        micro-batch, against the kept CTrie and CandidateBase."""
+        micro-batch, against the kept CTrie and CandidateBase. An empty
+        micro-batch is recorded without running the cycle."""
         v = self.variant
         batch_df = batch_df.select("tweet_id", "sent_id", "topic", "tokens").cache()
+        before = len(self.ctrie)
+        mentions = pd.DataFrame(columns=MENTION_COLS)
         try:
             n_tweets = batch_df.count()
-            before = len(self.ctrie)
-            res = global_emd_cycle(
-                spark, v.system, v.phrase_embedder, batch_df,
-                self.ctrie, self.candidate_base, v.classifier,
-            )
+            if n_tweets:
+                res = global_emd_cycle(
+                    spark, v.system, v.phrase_embedder, batch_df,
+                    self.ctrie, self.candidate_base, v.classifier,
+                )
+                mentions = res.final_mentions[MENTION_COLS]
         finally:
             batch_df.unpersist()
-        mentions = res.final_mentions[MENTION_COLS]
         out = BatchOutput(batch_id, n_tweets, len(self.ctrie) - before, mentions)
         self.outputs.append(out)
         return out
@@ -156,11 +159,14 @@ class StreamingGlobalizer:
         timeout_seconds: int = 300,
     ) -> None:
         """Consume a directory of micro-batch files with a Structured
-        Streaming query whose ``foreachBatch`` advances this state."""
+        Streaming query whose ``foreachBatch`` advances this state.
+
+        Raises ``TimeoutError`` if the query has not consumed every file
+        after ``timeout_seconds``; the query is stopped first, so the
+        state is no longer advanced once this returns or raises.
+        """
 
         def on_batch(batch_df: DataFrame, batch_id: int) -> None:
-            if batch_df.isEmpty():
-                return
             self.process_batch(spark, batch_df, int(batch_id))
 
         stream = (
@@ -174,7 +180,16 @@ class StreamingGlobalizer:
             .trigger(availableNow=True)
             .start()
         )
-        query.awaitTermination(timeout_seconds)
+        # awaitTermination takes only a positive timeout: 0 polls once
+        if timeout_seconds > 0:
+            finished = query.awaitTermination(timeout_seconds)
+        else:
+            finished = not query.isActive
+        if not finished:
+            query.stop()
+            raise TimeoutError(
+                f"stream over {input_dir} did not finish in {timeout_seconds} s"
+            )
 
 
 def windowed_tag_counts(

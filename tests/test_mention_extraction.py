@@ -5,9 +5,17 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.ctrie import CTrie
-from repro.core.mention_extraction import collect_local_embeddings, extract_mentions
+from repro.core.mention_extraction import (
+    EMB_SCHEMA,
+    collect_local_embeddings,
+    extract_mentions,
+    mine_and_embed,
+)
 from repro.core.syntactic import N_CATEGORIES, one_hot
 from repro.oracle import assert_equivalent
+from repro.streams.generator import TWEETS_SCHEMA
+
+SPAN = ["tweet_id", "sent_id", "start", "length"]
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +87,8 @@ class TestCollectLocalEmbeddings:
         mined = extract_mentions(spark, tweets_df, gold_trie)
         with pytest.raises(ValueError):
             collect_local_embeddings(spark, tweets_df, mined, aguilar, None)
+        with pytest.raises(ValueError):
+            mine_and_embed(spark, tweets_df, gold_trie, aguilar, None)
 
     def test_deep_embeddings_match_direct_computation(
         self, spark, d1_small, aguilar, aguilar_variant
@@ -114,3 +124,72 @@ class TestCollectLocalEmbeddings:
             spark, sub_df, mined, aguilar_variant.system, aguilar_variant.phrase_embedder
         ).toPandas()
         assert all(len(e) == aguilar_variant.phrase_embedder.d_out for e in embs["emb"])
+
+
+@pytest.fixture(scope="module")
+def edge_df(spark, d1_small):
+    """40 tweets plus an empty sentence and a sentence of only
+    tweet-special tokens."""
+    extra = pd.DataFrame(
+        {
+            "tweet_id": [10**9, 10**9 + 1],
+            "sent_id": [0, 0],
+            "topic": [0, 0],
+            "tokens": [[], ["#Covid", "@Andy", "http://t.co/x"]],
+        }
+    )
+    pdf = pd.concat([d1_small.tweets.head(40), extra], ignore_index=True)
+    return spark.createDataFrame(pdf[TWEETS_SCHEMA.fieldNames()], schema=TWEETS_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def edge_trie(d1_small):
+    # candidates that exist only as tweet-special tokens never match
+    return CTrie(sorted(set(d1_small.gold["key"])) + ["#covid", "@andy"])
+
+
+def _by_span(df) -> pd.DataFrame:
+    return df.toPandas().sort_values(SPAN).reset_index(drop=True)
+
+
+def _plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
+class TestMineAndEmbed:
+    @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
+    def test_equals_split_path(self, spark, request, variant, edge_df, edge_trie):
+        """The fused scan gives the rows and the exact float32 embeddings
+        of mining followed by embedding."""
+        v = request.getfixturevalue(variant)
+        fused = _by_span(mine_and_embed(spark, edge_df, edge_trie, v.system, v.phrase_embedder))
+        mined = extract_mentions(spark, edge_df, edge_trie)
+        split = _by_span(
+            collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
+        )
+        assert len(fused) > 0
+        pd.testing.assert_frame_equal(
+            fused.drop(columns="emb"), split.drop(columns="emb"), check_exact=True
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(fused["emb"], split["emb"]))
+        assert not fused["tweet_id"].isin([10**9, 10**9 + 1]).any()
+
+    @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
+    def test_no_match_is_empty_with_schema(self, spark, request, variant, edge_df):
+        v = request.getfixturevalue(variant)
+        df = mine_and_embed(spark, edge_df, CTrie(["zzznotpresent"]), v.system, v.phrase_embedder)
+        assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
+            (f.name, f.dataType.simpleString()) for f in EMB_SCHEMA
+        ]
+        out = df.toPandas()
+        assert len(out) == 0 and list(out.columns) == EMB_SCHEMA.fieldNames()
+
+    def test_deep_plan_has_no_shuffle(self, spark, aguilar_variant, edge_df, edge_trie):
+        """No join or repartition follows the deep scan; the split path,
+        which joins the mentions back onto their tweets, has one."""
+        v = aguilar_variant
+        fused = mine_and_embed(spark, edge_df, edge_trie, v.system, v.phrase_embedder)
+        mined = extract_mentions(spark, edge_df, edge_trie)
+        split = collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
+        assert "Exchange" not in _plan(fused)
+        assert "Exchange" in _plan(split)

@@ -10,6 +10,7 @@ from pyspark.sql import functions as F
 from repro.core.pipeline import EMDGlobalizer
 from repro.eval.metrics import score_mentions
 from repro.oracle import assert_equivalent
+from repro.streaming import job
 from repro.streaming.job import (
     STREAM_SCHEMA,
     StreamingGlobalizer,
@@ -73,18 +74,26 @@ class TestIncrementalPipeline:
             df.unpersist()
 
     def test_empty_batches_emit_nothing(
-        self, spark, chunker_variant, aguilar_variant, ds_small
+        self, spark, chunker_variant, aguilar_variant, ds_small, monkeypatch
     ):
         """An empty micro-batch neither crashes nor changes state, before
-        and after candidates exist."""
+        and after candidates exist, and never runs a Global-EMD cycle."""
+
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("an empty micro-batch ran global_emd_cycle")
+
         empty = spark.createDataFrame([], STREAM_SCHEMA)
         for variant in (chunker_variant, aguilar_variant):
             sg = StreamingGlobalizer(variant)
-            sg.process_batch(spark, empty, 0)
+            with monkeypatch.context() as m:
+                m.setattr(job, "global_emd_cycle", no_cycle)
+                sg.process_batch(spark, empty, 0)
             assert len(sg.ctrie) == 0 and len(sg.candidate_base) == 0
             sg.process_batch(spark, ds_small.to_spark(spark), 1)
             before = sg.candidate_base.table()
-            out = sg.process_batch(spark, empty, 2)
+            with monkeypatch.context() as m:
+                m.setattr(job, "global_emd_cycle", no_cycle)
+                out = sg.process_batch(spark, empty, 2)
             assert out.n_tweets == 0 and out.n_new_candidates == 0 and len(out.mentions) == 0
             pd.testing.assert_frame_equal(before, sg.candidate_base.table(), check_exact=True)
 
@@ -130,6 +139,18 @@ class TestIncrementalPipeline:
         sg.run_file_stream(spark, str(td))
         assert sum(o.n_tweets for o in sg.outputs) == len(ds_small.tweets)
         assert len(sg.all_output_mentions()) > 0
+
+    def test_file_stream_timeout_stops_query(
+        self, spark, chunker_variant, ds_small, tmp_path_factory
+    ):
+        """A stream that outlives its timeout raises, and its query is
+        stopped rather than left advancing the state."""
+        td = tmp_path_factory.mktemp("stream_timeout")
+        write_stream_batches(ds_small, str(td), n_batches=2)
+        sg = StreamingGlobalizer(chunker_variant)
+        with pytest.raises(TimeoutError):
+            sg.run_file_stream(spark, str(td), timeout_seconds=0)
+        assert spark.streams.active == []
 
 
 class TestWindowedCounts:

@@ -1,10 +1,10 @@
 """Structured Streaming demo — continuous EMD Globalizer on a simulated
 Twitter stream (Section III's execution model).
 
-Materializes a streaming dataset as micro-batch files, then (1) runs the
+Materializes a streaming dataset as micro-batch files, then runs the
 incremental foreachBatch pipeline, printing per-batch progress (new
-candidates registered, entity mentions emitted), and (2) runs the
-windowed count of Local EMD tags, printing top per-window tag counts.
+candidates registered, entity mentions emitted) and the stream's
+cumulative precision, recall and F1.
 
 Usage: ``spark-submit jobs/streaming_demo.py [--dataset d2] [--scale S]
 [--batches N] [--d5-scale S]``
@@ -18,12 +18,7 @@ from _session import get_spark
 
 from repro.eval.experiments import fitted_variants
 from repro.eval.metrics import score_mentions
-from repro.streaming.job import (
-    STREAM_SCHEMA,
-    StreamingGlobalizer,
-    windowed_tag_counts,
-    write_stream_batches,
-)
+from repro.streaming.job import StreamingGlobalizer, write_stream_batches
 from repro.streams import generator as gen
 
 
@@ -54,29 +49,6 @@ def main() -> None:
             )
         prf = score_mentions(sg.all_output_mentions(), ds.gold)
         print(f"stream-cumulative: P={prf.precision:.3f} R={prf.recall:.3f} F1={prf.f1:.3f}")
-
-        # windowed Local EMD tag counts (declarative streaming aggregation)
-        stream = (
-            spark.readStream.schema(STREAM_SCHEMA)
-            .option("maxFilesPerTrigger", 1)
-            .json(td)
-        )
-        counts = windowed_tag_counts(
-            stream, variant.system, window_duration="300 seconds"
-        )
-        q = (
-            counts.writeStream.outputMode("complete")
-            .format("memory")
-            .queryName("window_counts")
-            .trigger(availableNow=True)
-            .start()
-        )
-        q.awaitTermination(300)
-        print("\n== windowed Local EMD tag counts (top keys per window) ==")
-        spark.sql(
-            "SELECT window.start AS w_start, key, n_mentions FROM window_counts "
-            "ORDER BY n_mentions DESC LIMIT 15"
-        ).show(truncate=False)
     spark.stop()
 
 

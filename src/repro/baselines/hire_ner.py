@@ -21,32 +21,29 @@ the paper; both MLPs over the same synthetic contextual bank here):
   content, much like a document",
 - decoder: feed-forward O/B/I head over [local ‖ global].
 
-The memory is one (sum, count) aggregation: ``token_sums`` gives a
-partial per pandas chunk and ``memory_from_sums`` merges partials into
-per-type means. Training takes the whole training corpus as a single
-chunk on the driver; tagging runs the partials as Spark ``mapInPandas``
-over the dataset and broadcasts the merged memory into the tagging
-pass, which emits rows through the same ``mentions_frame`` as every
-Local EMD system.
+``HireNER`` is a :class:`BioTagger` that supplies only those features;
+fitting, decoding and the gazetteer are the shared ones. The memory is
+one (sum, count) aggregation: ``token_sums`` gives a partial per pandas
+chunk and ``memory_from_sums`` merges partials into per-type means.
+``fit`` builds the training corpus's memory as a single chunk on the
+driver and keeps it as ``memory``. ``tag`` runs the partials as Spark
+``mapInPandas`` over the dataset, binds the merged memory to a copy of
+the fitted tagger, and tags through the shared ``LocalEMDSystem.tag``
+path; the fitted object keeps its training memory.
 """
 from __future__ import annotations
 
+import copy
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
 import pyspark.sql.types as T
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
-from repro.local_emd.base import MENTIONS_SCHEMA, mentions_frame, surface_features
-from repro.local_emd.deep import (
-    bio_training_set,
-    decode_bio,
-    gazetteer_features,
-    train_bio_tagger,
-)
+from repro.local_emd.base import surface_features
+from repro.local_emd.deep import BioTagger
 from repro.local_emd.embeddings import EmbeddingBank
-from repro.nn.mlp import MLP
 
 __all__ = ["HireNER", "token_sums", "memory_from_sums"]
 
@@ -100,67 +97,34 @@ def memory_from_sums(partials: pd.DataFrame) -> dict:
     return {t: (sums[t] / counts[t]).astype(np.float32) for t in sums}
 
 
-class HireNER:
-    """Document-level EMD with token-type global memory features."""
+class HireNER(BioTagger):
+    """Document-level EMD with token-type global memory features.
+
+    ``tag_sentence`` reads the global features from ``memory``, which
+    holds every token of the corpus it was built from: the training
+    corpus on the fitted tagger, the dataset on the copy ``tag`` makes.
+    """
 
     name = "HIRE-NER"
 
-    def __init__(
-        self,
-        bank: EmbeddingBank,
-        gazetteer_keys: set,
-        *,
-        hidden: tuple = (128, 100),
-        seed: int = 47,
-        epochs: int = 14,
-    ):
+    def __init__(self, bank: EmbeddingBank, gazetteer_keys: set, *, epochs: int = 14):
+        super().__init__([128, 100], seed=47, epochs=epochs, gazetteer_keys=gazetteer_keys)
         self.bank = bank
-        self.gaz_uni = {k for k in gazetteer_keys if " " not in k}
-        self.gaz_tokens = {t for k in gazetteer_keys for t in k.split(" ")}
-        self.hidden = list(hidden)
-        self.seed = seed
-        self.epochs = epochs
-        self.model: MLP | None = None
+        self.memory: dict = {}
 
-    @property
-    def n_local_features(self) -> int:
-        return self.bank.dim + 9 + 2
-
-    @property
-    def n_features(self) -> int:
-        return self.n_local_features + self.bank.dim  # + global memory slot
-
-    # ------------------------------------------------------------------
-    def _features(
-        self, tokens: list, tweet_id: int, sent_id: int, memory: dict
-    ) -> np.ndarray:
+    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
         low = [t.lower() for t in tokens]
         emb = self.bank.contextual(low, tweet_id, sent_id)
-        glob = np.stack([memory[t] for t in low]) if tokens else emb
+        glob = np.stack([self.memory[t] for t in low]) if tokens else emb
         return np.concatenate(
-            [
-                emb,
-                surface_features(tokens),
-                gazetteer_features(tokens, self.gaz_uni, self.gaz_tokens),
-                glob,
-            ],
-            axis=1,
+            [emb, surface_features(tokens), self._gazetteer(tokens), glob], axis=1
         )
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
-        memory = memory_from_sums(token_sums(self.bank, train_tweets))
-        X, Y = bio_training_set(
-            train_tweets,
-            train_gold,
-            lambda toks, tweet_id, sent_id: self._features(toks, tweet_id, sent_id, memory),
-        )
-        sizes = [self.n_features, *self.hidden, 3]
-        acts = ["relu"] * len(self.hidden) + ["sigmoid"]
-        self.model = MLP.build(sizes, acts, seed=self.seed)
-        train_bio_tagger(self.model, X, Y, epochs=self.epochs, seed=self.seed)
+        self.memory = memory_from_sums(token_sums(self.bank, train_tweets))
+        super().fit(train_tweets, train_gold)
 
-    # ------------------------------------------------------------------
-    def build_memory(self, spark: SparkSession, tweets_df: DataFrame) -> dict:
+    def build_memory(self, tweets_df: DataFrame) -> dict:
         """Compute the per-token-type global memory for a dataset as a
         distributed (sum, count) aggregation: one ``token_sums`` partial
         per Arrow batch, merged on the driver."""
@@ -174,25 +138,12 @@ class HireNER:
             tweets_df.mapInPandas(partial, schema=TOKEN_SUMS_SCHEMA).toPandas()
         )
 
-    def tag(self, spark: SparkSession, tweets_df: DataFrame) -> DataFrame:
+    def tag(self, tweets_df: DataFrame) -> DataFrame:
         """Two-pass document EMD: build the global memory over the whole
-        dataset, then decode every sentence with [local ‖ global]."""
-        if self.model is None:
-            raise RuntimeError("HireNER: call fit() first")
-        memory = self.build_memory(spark, tweets_df)
-        bc = spark.sparkContext.broadcast((self.model.to_arrays(), memory))
-        me = self
-
-        def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            arrays, mem = bc.value
-            model = MLP.from_arrays(arrays)
-
-            def tag_sentence(toks: list, tweet_id: int, sent_id: int) -> list:
-                if not toks:
-                    return []
-                return decode_bio(model, me._features(toks, tweet_id, sent_id, mem))
-
-            for pdf in batches:
-                yield mentions_frame(pdf, tag_sentence)
-
-        return tweets_df.mapInPandas(run, schema=MENTIONS_SCHEMA)
+        dataset, then decode every sentence with [local ‖ global] through
+        the shared tagging path, on a copy of this tagger that holds the
+        dataset's memory."""
+        self._check_fitted()
+        tagger = copy.copy(self)
+        tagger.memory = self.build_memory(tweets_df)
+        return super(HireNER, tagger).tag(tweets_df)

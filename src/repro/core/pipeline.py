@@ -12,8 +12,8 @@ candidate embeddings (``mine_and_embed``: one scan of the tweets, one
 Spark action; on the deep path no join or shuffle) -> pooled global
 embeddings in a ``CandidateBase`` -> entity classification -> final
 mention output.
-``EMDGlobalizer.run`` runs it from fresh state (batch mode, with
-Figure 6's ablation switches ``local`` / ``mining`` / ``full``),
+``EMDGlobalizer.run`` runs it from fresh state (batch mode; its local,
+mined and final mentions are Figure 6's three curves),
 ``candidate_table`` runs it without the classifier to build the
 classifier's training table, and the streaming job runs it on each
 micro-batch against its kept state.
@@ -21,7 +21,7 @@ micro-batch against its kept state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -167,30 +167,18 @@ class EMDGlobalizer:
     def __init__(self, variant: FittedVariant):
         self.variant = variant
 
-    def run(
-        self, spark: SparkSession, tweets_df: DataFrame, *, ablation: str = "full"
-    ) -> GlobalizerResult:
+    def run(self, spark: SparkSession, tweets_df: DataFrame) -> GlobalizerResult:
         """One execution cycle from fresh state (see ``global_emd_cycle``).
 
-        ``ablation``: ``'local'`` stops after Local EMD; ``'mining'``
-        adds occurrence mining but skips the classifier (Fig. 6's middle
-        curve); ``'full'`` runs everything.
+        The result holds Figure 6's three stages of one cycle: Local
+        EMD's mentions, every mined mention of a seed candidate, and the
+        final mentions of entity candidates.
         """
         v = self.variant
-        if ablation == "local":
-            t0 = time.perf_counter()
-            local = v.system.tag(tweets_df).toPandas()
-            return GlobalizerResult(
-                local, local.iloc[0:0], local, CandidateBase(v.emb_dim).table(),
-                time.perf_counter() - t0, 0.0,
-            )
-        res = global_emd_cycle(
+        return global_emd_cycle(
             spark, v.system, v.phrase_embedder, tweets_df, CTrie(),
-            CandidateBase(v.emb_dim), None if ablation == "mining" else v.classifier,
+            CandidateBase(v.emb_dim), v.classifier,
         )
-        if ablation == "mining":
-            return replace(res, final_mentions=res.mined_mentions)
-        return res
 
 
 def candidate_table(

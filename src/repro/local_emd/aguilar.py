@@ -21,9 +21,7 @@ __all__ = ["make_aguilar", "AGUILAR_DIM"]
 AGUILAR_DIM = 100
 
 
-def make_aguilar(
-    token_familiarity: dict, gazetteer_keys: set, *, seed: int = 41
-) -> DeepEMDSystem:
+def make_aguilar(token_familiarity: dict, gazetteer_keys: set) -> DeepEMDSystem:
     """Build the (unfitted) Aguilar et al. stand-in.
 
     50-d word embeddings (Godin et al. Twitter word2vec is 400-d, but the
@@ -42,6 +40,6 @@ def make_aguilar(
         bank,
         hidden=[128, AGUILAR_DIM],
         gazetteer_keys=gazetteer_keys,
-        seed=seed,
+        seed=41,
         epochs=14,
     )

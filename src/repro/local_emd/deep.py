@@ -1,12 +1,14 @@
-"""Shared machinery for the learned BIO taggers, and the deep Local EMD system.
+"""The one learned BIO tagger, and the deep Local EMD system built on it.
 
-The learned taggers (the deep systems, TwitterNLP and the HIRE-NER
-baseline) share one supervised sequence-labeling core: gold spans to a
-stacked ``(X, Y)`` training set (``bio_training_set``), three-way
-(O/B/I) sigmoid-head training through the one early-stopping Adam loop
-(``train_bio_tagger``) on the WNUT17-train stand-in corpus, and argmax
-BIO decoding (``decode_bio``). Deep systems add a contextual-embedding
-input and expose their penultimate layer as the 'entity-aware' token
+Every learned tagger (TwitterNLP, the deep systems and the HIRE-NER
+baseline) is a ``BioTagger`` that supplies only its token features. The
+shared core: gold spans to a stacked ``(X, Y)`` training set
+(``bio_training_set``), an MLP whose input width is the features' width,
+three-way (O/B/I) sigmoid-head training through the one early-stopping
+Adam loop (``train_bio_tagger``) on the WNUT17-train stand-in corpus,
+argmax BIO decoding (``decode_bio``) and the gazetteer lexical features
+(``gazetteer_features``). ``DeepEMDSystem`` adds a contextual-embedding
+input and exposes its penultimate layer as the 'entity-aware' token
 embedding consumed by Global EMD (Section IV: "the output of the neural
 network's final layer before token-level classification").
 """
@@ -29,6 +31,7 @@ __all__ = [
     "bio_training_set",
     "decode_bio",
     "gazetteer_features",
+    "BioTagger",
     "DeepEMDSystem",
 ]
 
@@ -102,7 +105,66 @@ def gazetteer_features(tokens: list, unigram_keys: set, all_tokens: set) -> np.n
     return f
 
 
-class DeepEMDSystem(LocalEMDSystem):
+class BioTagger(LocalEMDSystem):
+    """A learned Local EMD system: an MLP with ReLU hidden layers of
+    widths ``hidden`` and an O/B/I sigmoid head over the token features
+    a subclass supplies with ``_features(tokens, tweet_id, sent_id)``.
+
+    ``fit`` stacks those features over the training corpus, builds the
+    MLP with the input width the features have, and trains it with
+    ``train_bio_tagger``; ``tag_sentence`` decodes the argmax tags.
+    ``gazetteer_keys``, when given, back the two lexical features of
+    ``_gazetteer``.
+    """
+
+    def __init__(
+        self,
+        hidden: list,
+        *,
+        seed: int,
+        epochs: int,
+        lr: float = 1e-3,
+        gazetteer_keys: set | None = None,
+    ):
+        self.hidden = list(hidden)
+        self.seed = seed
+        self.epochs = epochs
+        self.lr = lr
+        self.gaz_uni = None
+        self.gaz_tokens = None
+        if gazetteer_keys is not None:
+            self.gaz_uni = {k for k in gazetteer_keys if " " not in k}
+            self.gaz_tokens = {t for k in gazetteer_keys for t in k.split(" ")}
+        self.model: MLP | None = None
+        self.train_info: dict = {}
+
+    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
+        """One sentence's ``(n_tokens, n_features)`` float32 input."""
+        raise NotImplementedError
+
+    def _gazetteer(self, tokens: list) -> np.ndarray:
+        return gazetteer_features(tokens, self.gaz_uni, self.gaz_tokens)
+
+    def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
+        X, Y = bio_training_set(train_tweets, train_gold, self._features)
+        acts = ["relu"] * len(self.hidden) + ["sigmoid"]
+        self.model = MLP.build([X.shape[1], *self.hidden, 3], acts, seed=self.seed)
+        self.train_info = train_bio_tagger(
+            self.model, X, Y, lr=self.lr, epochs=self.epochs, seed=self.seed
+        )
+
+    def _check_fitted(self) -> None:
+        if self.model is None:
+            raise RuntimeError(f"{self.name}: call fit() before tagging")
+
+    def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
+        self._check_fitted()
+        if not tokens:
+            return []
+        return decode_bio(self.model, self._features(tokens, tweet_id, sent_id))
+
+
+class DeepEMDSystem(BioTagger):
     """A deep Local EMD tagger over synthetic contextual embeddings.
 
     ``hidden`` fixes the architecture; the last hidden width is the
@@ -119,54 +181,20 @@ class DeepEMDSystem(LocalEMDSystem):
         hidden: list,
         *,
         gazetteer_keys: set | None = None,
-        seed: int = 0,
-        epochs: int = 12,
-        lr: float = 1e-3,
+        seed: int,
+        epochs: int,
     ):
+        super().__init__(hidden, seed=seed, epochs=epochs, gazetteer_keys=gazetteer_keys)
         self.name = name
         self.bank = bank
-        self.hidden = list(hidden)
         self.embedding_dim = self.hidden[-1]
-        self.gaz_uni = None
-        self.gaz_tokens = None
-        if gazetteer_keys is not None:
-            self.gaz_uni = {k for k in gazetteer_keys if " " not in k}
-            self.gaz_tokens = {t for k in gazetteer_keys for t in k.split(" ")}
-        self.seed = seed
-        self.epochs = epochs
-        self.lr = lr
-        self.model: MLP | None = None
-        self.train_info: dict = {}
-
-    @property
-    def n_features(self) -> int:
-        return self.bank.dim + 9 + (2 if self.gaz_uni is not None else 0)
 
     def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
         emb = self.bank.contextual([t.lower() for t in tokens], tweet_id, sent_id)
         parts = [emb, surface_features(tokens)]
         if self.gaz_uni is not None:
-            parts.append(gazetteer_features(tokens, self.gaz_uni, self.gaz_tokens))
+            parts.append(self._gazetteer(tokens))
         return np.concatenate(parts, axis=1)
-
-    def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
-        X, Y = bio_training_set(train_tweets, train_gold, self._features)
-        sizes = [self.n_features, *self.hidden, 3]
-        acts = ["relu"] * len(self.hidden) + ["sigmoid"]
-        self.model = MLP.build(sizes, acts, seed=self.seed)
-        self.train_info = train_bio_tagger(
-            self.model, X, Y, lr=self.lr, epochs=self.epochs, seed=self.seed
-        )
-
-    def _check_fitted(self) -> None:
-        if self.model is None:
-            raise RuntimeError(f"{self.name}: call fit() before tagging")
-
-    def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
-        self._check_fitted()
-        if not tokens:
-            return []
-        return decode_bio(self.model, self._features(tokens, tweet_id, sent_id))
 
     def entity_aware_embeddings(
         self, tokens: list, tweet_id: int, sent_id: int

@@ -3,13 +3,15 @@
 Stand-in for Ritter et al.'s TwitterNLP (T-POS/T-CHUNK/T-CAP features
 feeding a CRF segmenter T-SEG). The production CRF pipeline is not
 available offline; this reproduction keeps the model *class* — a
-discriminative tagger (here a 24-unit ReLU MLP with an O/B/I sigmoid
-head) over handcrafted surface features including an
+discriminative tagger over handcrafted surface features including an
 incomplete gazetteer (the paper's Freebase type-lists) and a
 capitalization-informativeness signal (T-CAP's role is played by the
 sentence-nondiscriminative feature) — trained on the WNUT17-train
-stand-in. No contextual embeddings: the system is 'non-deep', so Global
-EMD will use the 6-d syntactic embedding path for it.
+stand-in. It is a :class:`BioTagger` with one 24-unit ReLU layer that
+supplies only its token features; ``fit`` first counts the training
+corpus's token frequencies, which the features bucket. No contextual
+embeddings: the system is 'non-deep', so Global EMD will use the 6-d
+syntactic embedding path for it.
 """
 from __future__ import annotations
 
@@ -18,14 +20,8 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from repro.local_emd.base import LocalEMDSystem, surface_features
-from repro.local_emd.deep import (
-    bio_training_set,
-    decode_bio,
-    gazetteer_features,
-    train_bio_tagger,
-)
-from repro.nn.mlp import MLP
+from repro.local_emd.base import surface_features
+from repro.local_emd.deep import BioTagger
 
 __all__ = ["TwitterNLP"]
 
@@ -33,20 +29,18 @@ _N_FREQ_BUCKETS = 4
 _N_CTX_BUCKETS = 16
 
 
-class TwitterNLP(LocalEMDSystem):
+class TwitterNLP(BioTagger):
     """24-unit ReLU MLP BIO tagger with gazetteer + frequency features."""
 
     name = "TwitterNLP"
     is_deep = False
 
-    def __init__(self, gazetteer_keys: set, *, seed: int = 3, epochs: int = 30):
-        self.gaz_uni = {k for k in gazetteer_keys if " " not in k}
-        self.gaz_tokens = {t for k in gazetteer_keys for t in k.split(" ")}
-        self.seed = seed
-        self.epochs = epochs
-        self.model: MLP | None = None
+    def __init__(self, gazetteer_keys: set):
+        # small hidden layer: stands in for the CRF's feature conjunctions
+        # (a purely linear tagger under-fits the cap x gazetteer x
+        # frequency interactions the paper's T-SEG feature set encodes)
+        super().__init__([24], seed=3, epochs=30, lr=5e-3, gazetteer_keys=gazetteer_keys)
         self.freq: dict = {}
-        self.train_info: dict = {}
 
     def _freq_bucket(self, tok: str) -> int:
         """0 = unseen in training corpus, 1 = rare, 2 = mid, 3 = common."""
@@ -59,7 +53,7 @@ class TwitterNLP(LocalEMDSystem):
             return 2
         return 3
 
-    def _features(self, tokens: list) -> np.ndarray:
+    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
         n = len(tokens)
         fb = np.zeros((n, _N_FREQ_BUCKETS), dtype=np.float32)
         ctx = np.zeros((n, 2 * _N_CTX_BUCKETS), dtype=np.float32)
@@ -77,7 +71,7 @@ class TwitterNLP(LocalEMDSystem):
         return np.concatenate(
             [
                 surface_features(tokens),
-                gazetteer_features(tokens, self.gaz_uni, self.gaz_tokens),
+                self._gazetteer(tokens),
                 fb,
                 ctx,
             ],
@@ -89,20 +83,4 @@ class TwitterNLP(LocalEMDSystem):
             for t in toks:
                 low = t.lower()
                 self.freq[low] = self.freq.get(low, 0) + 1
-        X, Y = bio_training_set(
-            train_tweets, train_gold, lambda toks, _tid, _sid: self._features(toks)
-        )
-        # small hidden layer: stands in for the CRF's feature conjunctions
-        # (a purely linear tagger under-fits the cap x gazetteer x
-        # frequency interactions the paper's T-SEG feature set encodes)
-        self.model = MLP.build([X.shape[1], 24, 3], ["relu", "sigmoid"], seed=self.seed)
-        self.train_info = train_bio_tagger(
-            self.model, X, Y, lr=5e-3, epochs=self.epochs, seed=self.seed
-        )
-
-    def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
-        if self.model is None:
-            raise RuntimeError("TwitterNLP: call fit() before tagging")
-        if not tokens:
-            return []
-        return decode_bio(self.model, self._features(tokens))
+        super().fit(train_tweets, train_gold)

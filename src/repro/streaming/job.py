@@ -14,22 +14,17 @@ Streaming job over a file source of tweet micro-batches:
   seed candidates, occurrence mining of the batch against all candidates
   known so far, incremental CandidateBase (sum, count) pooling, and
   re-classification — gamma (ambiguous) candidates gain evidence as new
-  mentions arrive, exactly the paper's incremental design;
-- ``windowed_tag_counts`` is a declarative windowed view of Local
-  EMD's own tags: event-time windows of per-key tag counts maintained
-  by the engine (no CTrie scan).
+  mentions arrive, exactly the paper's incremental design.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.candidate_base import CandidateBase
@@ -40,7 +35,6 @@ from repro.streams.generator import TweetDataset
 __all__ = [
     "write_stream_batches",
     "StreamingGlobalizer",
-    "windowed_tag_counts",
     "STREAM_SCHEMA",
 ]
 
@@ -190,40 +184,3 @@ class StreamingGlobalizer:
             raise TimeoutError(
                 f"stream over {input_dir} did not finish in {timeout_seconds} s"
             )
-
-
-def windowed_tag_counts(
-    stream_df: DataFrame,
-    system,
-    *,
-    window_duration: str = "60 seconds",
-    watermark: str = "120 seconds",
-) -> DataFrame:
-    """Per-event-time-window, per-key counts of Local EMD's tags (the
-    mentions ``system.tag_pandas`` emits, not a CTrie scan); each tag
-    takes its sentence's ``ts``.
-
-    ``system`` is a *fitted* Local EMD system shipped in the closure;
-    the result is a streaming aggregation suitable for a memory/console
-    sink (or ``availableNow`` batch-equivalent runs in tests).
-    """
-    out_schema = T.StructType(
-        [
-            T.StructField("ts", T.TimestampType(), False),
-            T.StructField("key", T.StringType(), False),
-        ]
-    )
-
-    def tag(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            tags = system.tag_pandas(pdf)
-            yield pdf[["tweet_id", "sent_id", "ts"]].merge(
-                tags, on=["tweet_id", "sent_id"]
-            )[["ts", "key"]]
-
-    tagged = stream_df.mapInPandas(tag, schema=out_schema)
-    return (
-        tagged.withWatermark("ts", watermark)
-        .groupBy(F.window("ts", window_duration), "key")
-        .agg(F.count("*").alias("n_mentions"))
-    )

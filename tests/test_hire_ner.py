@@ -31,28 +31,38 @@ class TestMemory:
         sub = train_small.tweets.head(60)
         # driver side: the whole frame as one partial sum
         driver_mem = memory_from_sums(token_sums(hire.bank, sub))
-        spark_mem = hire.build_memory(spark, spark.createDataFrame(sub))
+        spark_mem = hire.build_memory(spark.createDataFrame(sub))
         assert set(spark_mem) == set(driver_mem)
         for tok in list(driver_mem)[:25]:
             assert np.allclose(spark_mem[tok], driver_mem[tok], atol=1e-4)
 
 
 class TestTagging:
-    def test_requires_fit(self, vocab, aguilar, spark, d1_small):
-        h = HireNER(aguilar.bank, vocab.gazetteer())
-        with pytest.raises(RuntimeError):
-            h.tag(spark, d1_small.to_spark(spark))
+    def test_feature_width(self, hire, train_small):
+        """[contextual ‖ 9 surface ‖ 2 gazetteer ‖ global memory] is the
+        width the fitted model's first layer takes."""
+        toks = list(train_small.tweets["tokens"].iloc[0])
+        assert (
+            hire._features(toks, 0, 0).shape[1]
+            == hire.model.layers[0].W.shape[0]
+            == 2 * hire.bank.dim + 11
+        )
 
-    def test_feature_width(self, hire):
-        assert hire.n_features == hire.n_local_features + hire.bank.dim
+    def test_tag_keeps_training_memory(self, spark, hire, train_small, d1_small):
+        """Tagging binds the dataset's memory to a copy: the fitted
+        tagger still holds the training corpus's memory afterwards."""
+        hire.tag(d1_small.to_spark(spark)).toPandas()
+        train_mem = memory_from_sums(token_sums(hire.bank, train_small.tweets))
+        assert set(hire.memory) == set(train_mem)
+        assert all(np.array_equal(hire.memory[t], train_mem[t]) for t in train_mem)
 
     def test_tags_d1_in_reasonable_band(self, spark, hire, d1_small):
-        pred = hire.tag(spark, d1_small.to_spark(spark)).toPandas()
+        pred = hire.tag(d1_small.to_spark(spark)).toPandas()
         prf = score_mentions(pred, d1_small.gold)
         assert 0.2 < prf.f1 < 0.85, prf
 
     def test_no_specials_in_output(self, spark, hire, d1_small):
-        pred = hire.tag(spark, d1_small.to_spark(spark)).toPandas()
+        pred = hire.tag(d1_small.to_spark(spark)).toPandas()
         assert not pred["key"].str.contains("#|@|http").any()
 
 
@@ -67,7 +77,7 @@ class TestPaperComparison:
         try:
             res = EMDGlobalizer(aguilar_variant).run(spark, df)
             glob = score_mentions(res.final_mentions, ds.gold)
-            hire_prf = score_mentions(hire.tag(spark, df).toPandas(), ds.gold)
+            hire_prf = score_mentions(hire.tag(df).toPandas(), ds.gold)
         finally:
             df.unpersist()
         assert glob.f1 > hire_prf.f1

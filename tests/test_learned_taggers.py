@@ -1,8 +1,9 @@
 """Tests for the learned Local EMD systems (TwitterNLP, Aguilar,
-BERTweet) and their shared deep machinery."""
+BERTweet) and the ``BioTagger`` machinery they share with HIRE-NER."""
 import numpy as np
 import pytest
 
+from repro.eval.experiments import make_system
 from repro.eval.metrics import score_mentions
 from repro.local_emd.deep import gazetteer_features, train_bio_tagger
 from repro.nn.mlp import MLP
@@ -44,18 +45,23 @@ class TestTrainBioTagger:
 
 
 class TestFittedSystems:
-    def test_twitter_nlp_requires_fit(self, vocab):
-        from repro.local_emd.twitter_nlp import TwitterNLP
+    @pytest.mark.parametrize(
+        "name",
+        ["TwitterNLP", "Aguilar et al.", "HIRE-NER"],
+        ids=["twitter_nlp", "aguilar", "hire_ner"],
+    )
+    def test_requires_fit(self, name, vocab, spark, d1_small):
+        """Every learned tagger refuses to tag before ``fit``; HIRE-NER's
+        ``tag`` raises before it starts any Spark job."""
+        if name == "HIRE-NER":
+            from repro.baselines.hire_ner import HireNER
 
-        with pytest.raises(RuntimeError):
-            TwitterNLP(vocab.gazetteer()).tag_sentence(["a"], 0, 0)
-
-    def test_deep_requires_fit(self, vocab):
-        from repro.local_emd.aguilar import make_aguilar
-
-        s = make_aguilar(vocab.entity_token_familiarity(), vocab.gazetteer())
-        with pytest.raises(RuntimeError):
-            s.tag_sentence(["a"], 0, 0)
+            hire = HireNER(make_system("Aguilar et al.").bank, vocab.gazetteer())
+            with pytest.raises(RuntimeError):
+                hire.tag(d1_small.to_spark(spark))
+        else:
+            with pytest.raises(RuntimeError):
+                make_system(name).tag_sentence(["a"], 0, 0)
 
     def test_twitter_nlp_freq_buckets(self, twitter_nlp):
         assert twitter_nlp._freq_bucket("zzzunseenzzz") == 0

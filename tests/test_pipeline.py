@@ -155,18 +155,11 @@ class TestAblation:
         Mining alone must raise recall; the full framework must beat
         both on F1."""
         ds = gen.generate("d2", scale=0.25)
-        rows = {
-            ab: run_cell(spark, aguilar_variant, ds, ablation=ab)
-            for ab in ["local", "mining", "full"]
-        }
-        assert rows["mining"].global_.recall > rows["local"].local.recall
-        assert rows["full"].global_.f1 > rows["mining"].global_.f1
-        assert rows["full"].global_.f1 > rows["local"].local.f1
-
-    def test_local_ablation_passthrough(self, spark, aguilar_variant, d1_small):
-        df = d1_small.to_spark(spark)
-        res = EMDGlobalizer(aguilar_variant).run(spark, df, ablation="local")
-        pd.testing.assert_frame_equal(res.local_mentions, res.final_mentions)
+        res, local, full = run_cell(spark, aguilar_variant, ds)
+        mining = score_mentions(res.mined_mentions, ds.gold)
+        assert mining.recall > local.recall
+        assert full.f1 > mining.f1
+        assert full.f1 > local.f1
 
 
 class TestCandidateTable:

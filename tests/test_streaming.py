@@ -5,16 +5,13 @@ import os
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.pipeline import EMDGlobalizer
 from repro.eval.metrics import score_mentions
-from repro.oracle import assert_equivalent
 from repro.streaming import job
 from repro.streaming.job import (
     STREAM_SCHEMA,
     StreamingGlobalizer,
-    windowed_tag_counts,
     write_stream_batches,
 )
 from repro.streams import generator as gen
@@ -152,59 +149,3 @@ class TestIncrementalPipeline:
             sg.run_file_stream(spark, str(td), timeout_seconds=0)
         assert spark.streams.active == []
 
-
-class TestWindowedCounts:
-    def test_windowed_counts_match_batch_oracle(self, spark, aguilar_variant, ds_small, tmp_path_factory):
-        """The streaming windowed aggregation, run to completion, must
-        equal the same aggregation computed in batch — checked through
-        the DuckDB oracle on the tagged mentions."""
-        td = tmp_path_factory.mktemp("stream4")
-        write_stream_batches(
-            ds_small, str(td), n_batches=2, seconds_per_tweet=30.0
-        )
-        stream = (
-            spark.readStream.schema(STREAM_SCHEMA)
-            .option("maxFilesPerTrigger", 1)
-            .json(str(td))
-        )
-        counts = windowed_tag_counts(
-            stream, aguilar_variant.system, window_duration="600 seconds"
-        )
-        prev_tz = spark.conf.get("spark.sql.session.timeZone")
-        spark.conf.set("spark.sql.session.timeZone", "UTC")
-        try:
-            qname = "win_counts_test"
-            q = (
-                counts.writeStream.outputMode("complete")
-                .format("memory").queryName(qname)
-                .trigger(availableNow=True).start()
-            )
-            q.awaitTermination(240)
-            got = spark.sql(
-                "SELECT CAST(unix_timestamp(window.start) AS BIGINT) AS w_start_s, "
-                f"key, n_mentions FROM {qname}"
-            )
-            # batch reference: tag everything, bucket the same epoch math
-            # in DuckDB (BIGINT cast: DuckDB's // on DOUBLE is not floor)
-            batch = spark.read.schema(STREAM_SCHEMA).json(str(td)).toPandas()
-            rows = []
-            for r in batch.itertuples():
-                for s, l in aguilar_variant.system.tag_sentence(
-                    list(r.tokens), int(r.tweet_id), int(r.sent_id)
-                ):
-                    span = list(r.tokens)[s : s + l]
-                    if any(t.startswith(("#", "@", "http")) for t in span):
-                        continue
-                    rows.append((r.ts, " ".join(t.lower() for t in span)))
-            tagged = pd.DataFrame(rows, columns=["ts", "key"])
-            assert_equivalent(
-                got,
-                """
-                SELECT 600 * (CAST(epoch(ts) AS BIGINT) // 600) AS w_start_s,
-                       key, COUNT(*) AS n_mentions
-                FROM tagged GROUP BY 1, 2
-                """,
-                tagged=tagged,
-            )
-        finally:
-            spark.conf.set("spark.sql.session.timeZone", prev_tz)

@@ -31,6 +31,7 @@ from pyspark.sql import types as T
 
 from repro.core import syntactic
 from repro.core.ctrie import CTrie
+from repro.local_emd.base import MENTIONS_SCHEMA
 
 __all__ = [
     "extract_mentions",
@@ -41,15 +42,7 @@ __all__ = [
 ]
 
 MINED_SCHEMA = T.StructType(
-    [
-        T.StructField("tweet_id", T.LongType(), False),
-        T.StructField("sent_id", T.IntegerType(), False),
-        T.StructField("start", T.IntegerType(), False),
-        T.StructField("length", T.IntegerType(), False),
-        T.StructField("key", T.StringType(), False),
-        T.StructField("surface", T.StringType(), False),
-        T.StructField("category", T.IntegerType(), False),
-    ]
+    MENTIONS_SCHEMA.fields + [T.StructField("category", T.IntegerType(), False)]
 )
 
 EMB_SCHEMA = T.StructType(

@@ -37,6 +37,7 @@ from repro.core.phrase_embedder import (
     train_phrase_embedder,
 )
 from repro.core.syntactic import N_CATEGORIES
+from repro.local_emd.base import SPAN_COLS
 from repro.streams import generator as gen
 from repro.streams.sts import generate_sts
 
@@ -54,9 +55,6 @@ __all__ = [
 # Section V-A: a candidate mention spans a token "together with up to k
 # tokens following it" — the window cap, also applied to seed keys.
 MAX_CANDIDATE_TOKENS = 5
-
-# a mention's position; no two mentions share one
-SPAN_COLS = ["tweet_id", "sent_id", "start", "length"]
 
 # Phrase-embedder output width per deep instantiation (Section VI):
 # Aguilar keeps its 100-d output size; BERTweet compresses 768 -> 300.

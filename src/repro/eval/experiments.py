@@ -1,14 +1,17 @@
 """Experiment runners: the paper's Tables I-IV, the Fig. 6 ablation and
 the Section VI-C error analysis.
 
-Each ``run_tableN`` reproduces one evaluation table of the paper on the
-synthetic corpora and returns a pandas frame with the measured numbers
-next to the paper's. ``run_tables`` renders any subset of them as text,
-fitting each framework variant they need once; ``jobs/run_all.py``
-writes that text to files. ``scale``/``d5_scale`` shrink corpora for
-tests; the full run uses Table I sizes with the D5 classifier stream at
-20% (38K -> 7.6K tweets; the candidate distribution is scale-free, see
-DESIGN.md).
+Tables III and IV, Fig. 6 and Section VI-C all read one grid of cells:
+``run_cells`` generates each dataset once and runs each (dataset, Local
+EMD system) cell of the framework once, and ``table3``, ``table4``,
+``ablation`` and ``error_analysis`` build their numbers from the cells
+they are handed. ``run_table1`` and ``run_table2`` read no cells.
+``run_tables`` renders any subset of ``TABLES`` as text, fitting each
+framework variant and running each cell the named tables need once;
+``jobs/run_all.py`` writes that text to files. ``scale``/``d5_scale``
+shrink corpora for tests; the full run uses Table I sizes with the D5
+classifier stream at 20% (38K -> 7.6K tweets; the candidate
+distribution is scale-free, see DESIGN.md).
 """
 from __future__ import annotations
 
@@ -40,29 +43,35 @@ __all__ = [
     "make_system",
     "fitted_variants",
     "run_cell",
+    "run_cells",
     "f1_gain_pct",
     "table3_row",
     "run_table1",
     "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_ablation",
-    "run_error_analysis",
+    "table3",
+    "table4",
+    "ablation",
+    "error_analysis",
     "run_tables",
 ]
 
 DEFAULT_D5_SCALE = 0.2
 
 AGUILAR = "Aguilar et al."
+STREAMING = ("d1", "d2", "d3", "d4")
 
-# output-file stem -> the Local EMD systems whose variants its text needs
+# mention-count bin width of the Section VI-C classifier recall (Fig. 7)
+FREQ_BIN_WIDTH = 5
+
+# output-file stem -> (the Local EMD systems whose variants its text
+# needs, the datasets whose cells of those systems it reads)
 TABLES = {
-    "table1": (),
-    "table2": tuple(paper.SYSTEMS),
-    "table3": tuple(paper.SYSTEMS),
-    "table4": (AGUILAR,),
-    "ablation": (AGUILAR,),
-    "error_analysis": ("BERTweet",),
+    "table1": ((), ()),
+    "table2": (tuple(paper.SYSTEMS), ()),
+    "table3": (tuple(paper.SYSTEMS), tuple(paper.DATASETS)),
+    "table4": ((AGUILAR,), tuple(paper.DATASETS)),
+    "ablation": ((AGUILAR,), STREAMING),
+    "error_analysis": (("BERTweet",), STREAMING),
 }
 
 
@@ -99,23 +108,29 @@ def fitted_variants(
 
 
 class Cell(NamedTuple):
-    """One Globalizer run over a corpus, scored against its gold spans."""
+    """One Globalizer run over a corpus, with its local, mined and final
+    mentions scored against the corpus's gold spans."""
 
+    dataset: TweetDataset
     result: GlobalizerResult
     local: PRF
+    mined: PRF
     global_: PRF
 
 
 def run_cell(spark: SparkSession, variant: FittedVariant, dataset: TweetDataset) -> Cell:
-    """Run one (variant, dataset) cell and score local vs global output."""
+    """Run one (variant, dataset) cell and score its local, mined and
+    final mentions."""
     tweets_df = dataset.to_spark(spark).cache()
     try:
         result = EMDGlobalizer(variant).run(spark, tweets_df)
     finally:
         tweets_df.unpersist()
     return Cell(
+        dataset,
         result,
         score_mentions(result.local_mentions, dataset.gold),
+        score_mentions(result.mined_mentions, dataset.gold),
         score_mentions(result.final_mentions, dataset.gold),
     )
 
@@ -181,47 +196,50 @@ def run_table2(variants: dict) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def run_table3(
-    spark: SparkSession,
-    variants: dict,
-    *,
-    datasets: list | None = None,
-    scale: float = 1.0,
-) -> pd.DataFrame:
+def run_cells(spark: SparkSession, variants: dict, pairs: list, *, scale: float) -> dict:
+    """Run each ``(dataset, system)`` pair of ``pairs`` once with the
+    system's variant, generating each dataset once at ``scale``;
+    returns ``{(dataset, system): Cell}`` in ``pairs`` order."""
+    datasets = {
+        d: gen.generate(d, scale=scale) for d in dict.fromkeys(d for d, _ in pairs)
+    }
+    return {(d, s): run_cell(spark, variants[s], datasets[d]) for d, s in pairs}
+
+
+def table3(cells: dict) -> pd.DataFrame:
     """Table III: local vs global effectiveness + times, with paper refs."""
     rows = []
-    for ds_name in datasets or paper.DATASETS:
-        ds = gen.generate(ds_name, scale=scale)
-        for sys_name, variant in variants.items():
-            res, local, glob = run_cell(spark, variant, ds)
-            ref = paper.TABLE3.get((ds_name, sys_name), {})
-            rows.append(
-                {
-                    **table3_row(
-                        ds.name,
-                        variant.system.name,
-                        local,
-                        glob,
-                        res.local_seconds,
-                        res.global_seconds,
-                    ),
-                    "paper_local_F1": ref.get("lF1"),
-                    "paper_global_F1": ref.get("gF1"),
-                    "paper_gain_pct": ref.get("gain"),
-                }
-            )
+    for (ds_name, sys_name), c in cells.items():
+        ref = paper.TABLE3.get((ds_name, sys_name), {})
+        rows.append(
+            {
+                **table3_row(
+                    ds_name,
+                    sys_name,
+                    c.local,
+                    c.global_,
+                    c.result.local_seconds,
+                    c.result.global_seconds,
+                ),
+                "paper_local_F1": ref.get("lF1"),
+                "paper_global_F1": ref.get("gF1"),
+                "paper_gain_pct": ref.get("gain"),
+            }
+        )
     return pd.DataFrame(rows)
 
 
-def run_table4(
+def table4(
     spark: SparkSession,
     aguilar_variant: FittedVariant,
+    cells: dict,
     *,
-    datasets: list | None = None,
-    scale: float = 1.0,
+    scale: float,
     hire_epochs: int = 14,
 ) -> pd.DataFrame:
-    """Table IV: Aguilar-instantiated Globalizer vs HIRE-NER."""
+    """Table IV: the Aguilar-instantiated Globalizer's cells vs HIRE-NER,
+    fitted once on WNUT17-train at ``scale`` and run on each cell's
+    dataset."""
     voc = gen.default_vocabulary()
     hire = HireNER(
         aguilar_variant.system.bank, voc.gazetteer(), epochs=hire_epochs
@@ -229,12 +247,10 @@ def run_table4(
     train = gen.generate("wnut17_train", scale=scale)
     hire.fit(train.tweets, train.gold)
     rows = []
-    for ds_name in datasets or paper.DATASETS:
-        ds = gen.generate(ds_name, scale=scale)
-        glob = run_cell(spark, aguilar_variant, ds).global_
-        hire_pred = hire.tag(ds.to_spark(spark)).toPandas()
-        hire_prf = score_mentions(hire_pred, ds.gold)
-        for sys_name, prf in [("EMD Globalizer", glob), ("HIRE-NER", hire_prf)]:
+    for (ds_name, _), c in cells.items():
+        hire_pred = hire.tag(c.dataset.to_spark(spark)).toPandas()
+        hire_prf = score_mentions(hire_pred, c.dataset.gold)
+        for sys_name, prf in [("EMD Globalizer", c.global_), ("HIRE-NER", hire_prf)]:
             ref = paper.TABLE4.get((ds_name, sys_name), {})
             rows.append(
                 {
@@ -249,47 +265,31 @@ def run_table4(
     return pd.DataFrame(rows)
 
 
-def run_ablation(
-    spark: SparkSession,
-    variant: FittedVariant,
-    *,
-    datasets: tuple = ("d1", "d2", "d3", "d4"),
-    scale: float = 1.0,
-) -> pd.DataFrame:
-    """Figure 6 as text: F1 per streaming dataset for local-only,
+def ablation(cells: dict) -> pd.DataFrame:
+    """Figure 6 as text: F1 per dataset for local-only,
     +mention-extraction, and the full framework, all three scored from
     one cycle's local, mined and final mentions."""
-    rows = []
-    for ds_name in datasets:
-        ds = gen.generate(ds_name, scale=scale)
-        res, local, full = run_cell(spark, variant, ds)
-        mining = score_mentions(res.mined_mentions, ds.gold)
-        rows.append(
+    return pd.DataFrame(
+        [
             {
                 "dataset": ds_name,
-                "F1_local": round(local.f1, 3),
-                "F1_mining": round(mining.f1, 3),
-                "F1_full": round(full.f1, 3),
+                "F1_local": round(c.local.f1, 3),
+                "F1_mining": round(c.mined.f1, 3),
+                "F1_full": round(c.global_.f1, 3),
             }
-        )
-    return pd.DataFrame(rows)
+            for (ds_name, _), c in cells.items()
+        ]
+    )
 
 
-def run_error_analysis(
-    spark: SparkSession,
-    variant: FittedVariant,
-    *,
-    datasets: tuple = ("d1", "d2", "d3", "d4"),
-    scale: float = 1.0,
-    freq_bin_width: int = 5,
-) -> dict:
-    """Section VI-C numbers for one variant over the streaming datasets:
+def error_analysis(cells: dict) -> dict:
+    """Section VI-C numbers over the cells:
 
     - mentions/entities lost because Local EMD missed *every* mention
       (error class 1: never became a candidate);
     - mentions lost to Entity-Classifier false negatives (error class 2);
-    - classifier recall on true entities by mention-frequency bin
-      (Figure 7 as text).
+    - classifier recall on true entities by mention-frequency bin of
+      ``FREQ_BIN_WIDTH`` (Figure 7 as text).
     """
     total_mentions = 0
     total_entities: set = set()
@@ -298,10 +298,9 @@ def run_error_analysis(
     lost2_mentions = 0
     lost2_entities: set = set()
     bins: dict = {}
-    for ds_name in datasets:
-        ds = gen.generate(ds_name, scale=scale)
-        res = run_cell(spark, variant, ds).result
-        gold = ds.gold
+    for (ds_name, _), c in cells.items():
+        res = c.result
+        gold = c.dataset.gold
         total_mentions += len(gold)
         total_entities.update(gold["eid"])
         seed_keys = set(res.candidates["key"]) if len(res.candidates) else set()
@@ -317,7 +316,7 @@ def run_error_analysis(
                 lost2_mentions += len(grp)
                 lost2_entities.add((ds_name, eid))
             if key in seed_keys:
-                b = (len(grp) - 1) // freq_bin_width
+                b = (len(grp) - 1) // FREQ_BIN_WIDTH
                 hit, tot = bins.get(b, (0, 0))
                 bins[b] = (hit + (1 if key in entity_keys else 0), tot + 1)
     return {
@@ -330,12 +329,12 @@ def run_error_analysis(
         "lost_classifier_fn_entities": len(lost2_entities),
         "lost_classifier_fn_pct": round(100 * lost2_mentions / total_mentions, 2),
         "classifier_recall_by_freq_bin": {
-            f"{b * freq_bin_width + 1}-{(b + 1) * freq_bin_width}": round(h / t, 3)
+            f"{b * FREQ_BIN_WIDTH + 1}-{(b + 1) * FREQ_BIN_WIDTH}": round(h / t, 3)
             for b, (h, t) in sorted(bins.items())
             if t > 0
         },
         "classifier_recall_by_freq_bin_counts": {
-            f"{b * freq_bin_width + 1}-{(b + 1) * freq_bin_width}": t
+            f"{b * FREQ_BIN_WIDTH + 1}-{(b + 1) * FREQ_BIN_WIDTH}": t
             for b, (h, t) in sorted(bins.items())
             if t > 0
         },
@@ -343,7 +342,7 @@ def run_error_analysis(
 
 
 def _table3_text(t3: pd.DataFrame) -> str:
-    streaming = t3[t3["dataset"].isin(["d1", "d2", "d3", "d4"])]
+    streaming = t3[t3["dataset"].isin(STREAMING)]
     nonstreaming = t3[t3["dataset"].isin(["wnut17", "btc"])]
     summary = [
         f"overall avg F1 gain: {t3['f1_gain_pct'].mean():.2f}% (paper 25.61%)",
@@ -374,30 +373,34 @@ def run_tables(
     d5_scale: float = DEFAULT_D5_SCALE,
 ) -> dict:
     """Render the named ``TABLES`` entries as text, ``{name: text}`` in
-    ``TABLES`` order. Each variant the named tables need is fitted once;
-    an unknown name raises ``ValueError`` before any is fitted."""
+    ``TABLES`` order. Each variant the named tables need is fitted once
+    and each of their cells runs once; an unknown name raises
+    ``ValueError`` before any variant is fitted."""
     unknown = sorted(set(names) - set(TABLES))
     if unknown:
         raise ValueError(f"unknown table(s) {unknown}; choose from {list(TABLES)}")
     names = [n for n in TABLES if n in names]
-    systems = [s for s in paper.SYSTEMS if any(s in TABLES[n] for n in names)]
+    systems = [s for s in paper.SYSTEMS if any(s in TABLES[n][0] for n in names)]
     variants = (
         fitted_variants(spark, systems=systems, scale=scale, d5_scale=d5_scale)
         if systems
         else {}
     )
+    pairs = {n: [(d, s) for d in TABLES[n][1] for s in TABLES[n][0]] for n in names}
+    grid = list(dict.fromkeys(p for n in names for p in pairs[n]))
+    cells = run_cells(spark, variants, grid, scale=scale)
+    own = {n: {p: cells[p] for p in pairs[n]} for n in names}
+
     render = {
         "table1": lambda: run_table1(scale=scale).to_string(index=False),
         "table2": lambda: run_table2(variants).to_string(index=False),
-        "table3": lambda: _table3_text(run_table3(spark, variants, scale=scale)),
-        "table4": lambda: run_table4(
-            spark, variants[AGUILAR], scale=scale
+        "table3": lambda: _table3_text(table3(own["table3"])),
+        "table4": lambda: table4(
+            spark, variants[AGUILAR], own["table4"], scale=scale
         ).to_string(index=False),
-        "ablation": lambda: _ablation_text(
-            run_ablation(spark, variants[AGUILAR], scale=scale)
-        ),
+        "ablation": lambda: _ablation_text(ablation(own["ablation"])),
         "error_analysis": lambda: json.dumps(
-            run_error_analysis(spark, variants["BERTweet"], scale=scale), indent=2
+            error_analysis(own["error_analysis"]), indent=2
         ),
     }
     return {n: render[n]() for n in names}

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import pandas as pd
 
-__all__ = ["PRF", "score_mentions"]
+from repro.local_emd.base import SPAN_COLS
 
-_SPAN_COLS = ["tweet_id", "sent_id", "start", "length"]
+__all__ = ["PRF", "score_mentions"]
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,12 @@ def score_mentions(pred: pd.DataFrame, gold: pd.DataFrame) -> PRF:
     correct once); gold is a set of spans by construction.
     """
     pred_spans = (
-        set(map(tuple, pred[_SPAN_COLS].itertuples(index=False)))
+        set(map(tuple, pred[SPAN_COLS].itertuples(index=False)))
         if len(pred)
         else set()
     )
     gold_spans = (
-        set(map(tuple, gold[_SPAN_COLS].itertuples(index=False)))
+        set(map(tuple, gold[SPAN_COLS].itertuples(index=False)))
         if len(gold)
         else set()
     )

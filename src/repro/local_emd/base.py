@@ -22,6 +22,7 @@ from pyspark.sql import types as T
 
 __all__ = [
     "MENTIONS_SCHEMA",
+    "SPAN_COLS",
     "LocalEMDSystem",
     "mentions_frame",
     "surface_features",
@@ -42,6 +43,9 @@ MENTIONS_SCHEMA = T.StructType(
         T.StructField("surface", T.StringType(), False),
     ]
 )
+
+# a mention's position; no two mentions share one
+SPAN_COLS = ["tweet_id", "sent_id", "start", "length"]
 
 N_SURFACE_FEATURES = 9
 
@@ -149,9 +153,7 @@ def mentions_frame(tweets: pd.DataFrame, tag_sentence) -> pd.DataFrame:
                     " ".join(span),
                 )
             )
-    return pd.DataFrame(
-        rows, columns=["tweet_id", "sent_id", "start", "length", "key", "surface"]
-    )
+    return pd.DataFrame(rows, columns=MENTIONS_SCHEMA.fieldNames())
 
 
 class LocalEMDSystem:

@@ -8,7 +8,7 @@ incomplete gazetteer (the paper's Freebase type-lists) and a
 capitalization-informativeness signal (T-CAP's role is played by the
 sentence-nondiscriminative feature) — trained on the WNUT17-train
 stand-in. It is a :class:`BioTagger` with one 24-unit ReLU layer that
-supplies only its token features; ``fit`` first counts the training
+supplies only its token features; each ``fit`` first counts the training
 corpus's token frequencies, which the features bucket. No contextual
 embeddings: the system is 'non-deep', so Global EMD will use the 6-d
 syntactic embedding path for it.
@@ -16,6 +16,7 @@ syntactic embedding path for it.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -40,7 +41,7 @@ class TwitterNLP(BioTagger):
         # (a purely linear tagger under-fits the cap x gazetteer x
         # frequency interactions the paper's T-SEG feature set encodes)
         super().__init__([24], seed=3, epochs=30, lr=5e-3, gazetteer_keys=gazetteer_keys)
-        self.freq: dict = {}
+        self.freq: Counter = Counter()
 
     def _freq_bucket(self, tok: str) -> int:
         """0 = unseen in training corpus, 1 = rare, 2 = mid, 3 = common."""
@@ -79,8 +80,5 @@ class TwitterNLP(BioTagger):
         )
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
-        for toks in train_tweets["tokens"]:
-            for t in toks:
-                low = t.lower()
-                self.freq[low] = self.freq.get(low, 0) + 1
+        self.freq = Counter(t.lower() for toks in train_tweets["tokens"] for t in toks)
         super().fit(train_tweets, train_gold)

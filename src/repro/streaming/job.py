@@ -30,7 +30,8 @@ from pyspark.sql import types as T
 from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
 from repro.core.pipeline import FittedVariant, global_emd_cycle
-from repro.streams.generator import TweetDataset
+from repro.local_emd.base import MENTIONS_SCHEMA
+from repro.streams.generator import TWEETS_SCHEMA, TweetDataset
 
 __all__ = [
     "write_stream_batches",
@@ -39,17 +40,11 @@ __all__ = [
 ]
 
 STREAM_SCHEMA = T.StructType(
-    [
-        T.StructField("tweet_id", T.LongType(), False),
-        T.StructField("sent_id", T.IntegerType(), False),
-        T.StructField("topic", T.IntegerType(), False),
-        T.StructField("tokens", T.ArrayType(T.StringType()), False),
-        T.StructField("ts", T.TimestampType(), False),
-    ]
+    TWEETS_SCHEMA.fields + [T.StructField("ts", T.TimestampType(), False)]
 )
 
 # columns of an emitted mention
-MENTION_COLS = ["tweet_id", "sent_id", "start", "length", "key", "surface"]
+MENTION_COLS = MENTIONS_SCHEMA.fieldNames()
 
 
 def write_stream_batches(
@@ -119,7 +114,7 @@ class StreamingGlobalizer:
         micro-batch, against the kept CTrie and CandidateBase. An empty
         micro-batch is recorded without running the cycle."""
         v = self.variant
-        batch_df = batch_df.select("tweet_id", "sent_id", "topic", "tokens").cache()
+        batch_df = batch_df.select(*TWEETS_SCHEMA.fieldNames()).cache()
         before = len(self.ctrie)
         mentions = pd.DataFrame(columns=MENTION_COLS)
         try:

@@ -37,19 +37,6 @@ TWEETS_SCHEMA = T.StructType(
     ]
 )
 
-GOLD_SCHEMA = T.StructType(
-    [
-        T.StructField("tweet_id", T.LongType(), False),
-        T.StructField("sent_id", T.IntegerType(), False),
-        T.StructField("start", T.IntegerType(), False),
-        T.StructField("length", T.IntegerType(), False),
-        T.StructField("eid", T.IntegerType(), False),
-        T.StructField("key", T.StringType(), False),
-        T.StructField("surface", T.StringType(), False),
-        T.StructField("variant", T.StringType(), False),
-    ]
-)
-
 
 @dataclass
 class TweetDataset:
@@ -63,9 +50,6 @@ class TweetDataset:
 
     def to_spark(self, spark: SparkSession) -> DataFrame:
         return spark.createDataFrame(self.tweets, schema=TWEETS_SCHEMA)
-
-    def gold_to_spark(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.gold, schema=GOLD_SCHEMA)
 
     def stats(self) -> dict:
         """Table I row: size, #topics, #hashtags, #entities (mentioned)."""

@@ -7,16 +7,18 @@ import pytest
 from repro.eval import experiments
 from repro.eval import paper_numbers as paper
 from repro.eval.experiments import (
+    AGUILAR,
+    ablation,
+    error_analysis,
     f1_gain_pct,
     make_system,
-    run_ablation,
-    run_error_analysis,
+    run_cells,
     run_table1,
     run_table2,
-    run_table3,
-    run_table4,
     run_tables,
+    table3,
     table3_row,
+    table4,
 )
 from repro.eval.metrics import PRF
 
@@ -97,11 +99,21 @@ class TestTable2:
         assert (t["val_f1"] > 0.6).all()
 
 
+@pytest.fixture(scope="module")
+def d1_cells_30(spark, aguilar_variant):
+    """Aguilar's D1@0.3 cell, read by the Table III and Table IV tests."""
+    return run_cells(spark, {AGUILAR: aguilar_variant}, [("d1", AGUILAR)], scale=0.3)
+
+
+@pytest.fixture(scope="module")
+def d1_cells_25(spark, aguilar_variant):
+    """Aguilar's D1@0.25 cell, read by the Fig. 6 and Section VI-C tests."""
+    return run_cells(spark, {AGUILAR: aguilar_variant}, [("d1", AGUILAR)], scale=0.25)
+
+
 class TestTable3:
-    def test_one_cell_shape(self, spark, aguilar_variant):
-        t = run_table3(
-            spark, {"Aguilar et al.": aguilar_variant}, datasets=["d1"], scale=0.3
-        )
+    def test_one_cell_shape(self, d1_cells_30):
+        t = table3(d1_cells_30)
         assert len(t) == 1
         row = t.iloc[0]
         assert row["global_F1"] > row["local_F1"]
@@ -110,22 +122,20 @@ class TestTable3:
 
 
 class TestTable4:
-    def test_globalizer_beats_hire(self, spark, aguilar_variant):
-        t = run_table4(spark, aguilar_variant, datasets=["d1"], scale=0.3, hire_epochs=6)
+    def test_globalizer_beats_hire(self, spark, aguilar_variant, d1_cells_30):
+        t = table4(spark, aguilar_variant, d1_cells_30, scale=0.3, hire_epochs=6)
         t = t.set_index("system")
         assert t.loc["EMD Globalizer", "F1"] > t.loc["HIRE-NER", "F1"]
 
 
 class TestAblationAndErrors:
-    def test_ablation_columns(self, spark, aguilar_variant):
-        t = run_ablation(spark, aguilar_variant, datasets=("d1",), scale=0.25)
+    def test_ablation_columns(self, d1_cells_25):
+        t = ablation(d1_cells_25)
         assert {"F1_local", "F1_mining", "F1_full"} <= set(t.columns)
         assert (t["F1_full"] >= t["F1_local"]).all()
 
-    def test_error_analysis_keys_and_consistency(self, spark, aguilar_variant):
-        stats = run_error_analysis(
-            spark, aguilar_variant, datasets=("d1",), scale=0.25
-        )
+    def test_error_analysis_keys_and_consistency(self, d1_cells_25):
+        stats = error_analysis(d1_cells_25)
         assert stats["total_mentions"] > 0
         assert (
             stats["lost_never_candidate_mentions"]
@@ -200,3 +210,16 @@ class TestRunTables:
             for s in paper.SYSTEMS
         }
         assert out["table2"] == run_table2(variants).to_string(index=False)
+
+    def test_each_cell_runs_once(self, spark, builds, monkeypatch):
+        """Table IV and Fig. 6 share their Aguilar cells on D1–D4."""
+        calls = []
+        run_cell = experiments.run_cell
+
+        def recording_run_cell(spark, variant, dataset):
+            calls.append((dataset.name, variant.system.name))
+            return run_cell(spark, variant, dataset)
+
+        monkeypatch.setattr(experiments, "run_cell", recording_run_cell)
+        run_tables(spark, ["table4", "ablation"], scale=0.02)
+        assert sorted(calls) == sorted((d, AGUILAR) for d in paper.DATASETS)

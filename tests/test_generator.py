@@ -142,10 +142,6 @@ class TestSparkRoundTrip:
         assert df.count() == len(d1.tweets)
         assert set(df.columns) == {"tweet_id", "sent_id", "topic", "tokens"}
 
-    def test_gold_schema(self, spark, d1):
-        df = d1.gold_to_spark(spark)
-        assert df.count() == len(d1.gold)
-
     def test_topic_counts_match_duckdb_oracle(self, spark, d1):
         df = (
             d1.to_spark(spark)
@@ -173,7 +169,7 @@ class TestSparkRoundTrip:
 
     def test_mention_counts_match_duckdb_oracle(self, spark, d1):
         df = (
-            d1.gold_to_spark(spark)
+            spark.createDataFrame(d1.gold)
             .groupBy("key")
             .agg(F.count("*").alias("n"), F.max("length").alias("max_len"))
         )

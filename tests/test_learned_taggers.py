@@ -69,6 +69,21 @@ class TestFittedSystems:
         top = max(twitter_nlp.freq, key=twitter_nlp.freq.get)
         assert twitter_nlp._freq_bucket(top) == 3
 
+    def test_twitter_nlp_refit_is_idempotent(self, twitter_nlp, train_small, d1_small):
+        """A second fit on the same corpus recounts its token frequencies
+        rather than adding to them: the weights and tags of one fit."""
+        import pickle
+
+        refit = make_system("TwitterNLP")
+        for _ in range(2):
+            refit.fit(train_small.tweets, train_small.gold)
+        assert pickle.dumps(refit.model.to_arrays()) == pickle.dumps(
+            twitter_nlp.model.to_arrays()
+        )
+        assert refit.tag_pandas(d1_small.tweets).equals(
+            twitter_nlp.tag_pandas(d1_small.tweets)
+        )
+
     @pytest.mark.parametrize("fixture", ["twitter_nlp", "aguilar", "bertweet"])
     def test_f1_in_paper_band(self, request, fixture, d1_small):
         """Local EMD effectiveness must land in the paper's observed

@@ -154,12 +154,10 @@ class TestAblation:
         """Fig. 6: local <= +mention-extraction(recall) and full best F1.
         Mining alone must raise recall; the full framework must beat
         both on F1."""
-        ds = gen.generate("d2", scale=0.25)
-        res, local, full = run_cell(spark, aguilar_variant, ds)
-        mining = score_mentions(res.mined_mentions, ds.gold)
-        assert mining.recall > local.recall
-        assert full.f1 > mining.f1
-        assert full.f1 > local.f1
+        cell = run_cell(spark, aguilar_variant, gen.generate("d2", scale=0.25))
+        assert cell.mined.recall > cell.local.recall
+        assert cell.global_.f1 > cell.mined.f1
+        assert cell.global_.f1 > cell.local.f1
 
 
 class TestCandidateTable:

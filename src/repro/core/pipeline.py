@@ -8,10 +8,13 @@ records mined from the D5 stream.
 
 ``global_emd_cycle`` is the one execution cycle on a tweet DataFrame:
 Local EMD -> seed candidates -> CTrie -> occurrence mining and local
-candidate embeddings (``mine_and_embed``: one scan of the tweets, one
-Spark action; on the deep path no join or shuffle) -> pooled global
-embeddings in a ``CandidateBase`` -> entity classification -> final
-mention output.
+candidate embeddings -> pooled global embeddings in a ``CandidateBase``
+-> entity classification -> final mention output. A one-partition
+input (a stream's micro-batch file) runs the first four steps as one
+Spark job (``tag_mine_and_embed``: the DNN runs once per sentence); an
+input of several partitions runs Local EMD as one job and mining plus
+embedding (``mine_and_embed``) as a second, because a partition cannot
+see the seeds the others find.
 ``EMDGlobalizer.run`` runs it from fresh state (batch mode; its local,
 mined and final mentions are Figure 6's three curves),
 ``candidate_table`` runs it without the classifier to build the
@@ -25,19 +28,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
 from repro.core.entity_classifier import EntityClassifier
-from repro.core.mention_extraction import MINED_SCHEMA, mine_and_embed
+from repro.core.mention_extraction import (
+    MAX_CANDIDATE_TOKENS,
+    MINED_SCHEMA,
+    _seed_keys,
+    mine_and_embed,
+    tag_mine_and_embed,
+)
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
     pooled_sentence_embeddings,
     train_phrase_embedder,
 )
 from repro.core.syntactic import N_CATEGORIES
-from repro.local_emd.base import SPAN_COLS
+from repro.local_emd.base import MENTIONS_SCHEMA, SPAN_COLS
 from repro.streams import generator as gen
 from repro.streams.sts import generate_sts
 
@@ -51,10 +62,6 @@ __all__ = [
     "global_emd_cycle",
     "PHRASE_EMB_DIM",
 ]
-
-# Section V-A: a candidate mention spans a token "together with up to k
-# tokens following it" — the window cap, also applied to seed keys.
-MAX_CANDIDATE_TOKENS = 5
 
 # Phrase-embedder output width per deep instantiation (Section VI):
 # Aguilar keeps its 100-d output size; BERTweet compresses 768 -> 300.
@@ -89,24 +96,20 @@ class GlobalizerResult:
     global_seconds: float
 
 
-def _seed_keys(local_mentions: pd.DataFrame) -> list:
-    keys = sorted(set(local_mentions["key"]))
-    return [k for k in keys if 1 <= len(k.split(" ")) <= MAX_CANDIDATE_TOKENS]
-
-
 def _emb_dim(system, phrase_embedder: PhraseEmbedder | None) -> int:
     return phrase_embedder.d_out if system.is_deep else N_CATEGORIES
 
 
-def _collect_mentions(emb_df: DataFrame, d_emb: int) -> tuple:
+def _collect_mentions(emb, d_emb: int) -> tuple:
     """Mined mentions sorted by span, and their ``(n, d_emb)`` float32
-    embeddings in the same order, from one Spark action.
+    embeddings in the same order, from ``EMB_SCHEMA`` rows: a DataFrame,
+    collected in one Spark action, or an Arrow table already collected.
 
     The sort makes pooling independent of partitioning and of shuffle
     arrival order. The embeddings are copied once, chunk by chunk, out
     of Arrow's flat float buffers: no Python object per mention.
     """
-    table = emb_df.toArrow()
+    table = emb if isinstance(emb, pa.Table) else emb.toArrow()
     mined = table.drop_columns(["emb"]).to_pandas()
     order = np.lexsort([mined[c].to_numpy() for c in reversed(SPAN_COLS)])
     rank = np.empty_like(order)
@@ -133,29 +136,52 @@ def global_emd_cycle(
 
     Tags the batch with Local EMD, inserts its seed candidates into
     ``ctrie``, mines and embeds every mention of every ``ctrie``
-    candidate with ``mine_and_embed`` (one scan of the tweets, collected
-    in one Spark action), and adds the mentions to
-    ``candidate_base``'s pooled (sum, count). With a ``classifier``,
-    every candidate is then re-labelled and the final mentions are the
-    batch's mentions of entity candidates. ``ctrie`` and
-    ``candidate_base`` are advanced in place: fresh ones give batch
-    mode, kept ones a stream.
+    candidate, and adds the mentions to ``candidate_base``'s pooled
+    (sum, count). With a ``classifier``, every candidate is then
+    re-labelled and the final mentions are the batch's mentions of
+    entity candidates. ``ctrie`` and ``candidate_base`` are advanced in
+    place: fresh ones give batch mode, kept ones a stream.
+
+    The plan follows the partition count of ``tweets_df``. Reading it
+    runs no Spark job on a materialised cache or a scan; on a frame that
+    ends in a shuffle not yet run, adaptive execution runs that shuffle
+    to learn the count. One partition:
+    ``tag_mine_and_embed`` does all the Spark work in one job, and the
+    driver splits its rows and inserts the same seeds into ``ctrie``;
+    ``local_seconds`` is that job's time less the seconds its task
+    spent mining. Otherwise: ``LocalEMDSystem.tag``, then
+    ``mine_and_embed`` on the seeded ``ctrie``, one job each. Both
+    plans give the same bits. ``global_seconds`` is the rest of the
+    cycle.
     """
     t0 = time.perf_counter()
-    local = system.tag(tweets_df).toPandas()
-    t1 = time.perf_counter()
+    if tweets_df.rdd.getNumPartitions() == 1:
+        rows, mine_seconds = tag_mine_and_embed(
+            spark, tweets_df, ctrie, system, phrase_embedder
+        )
+        table = rows.toArrow()
+        local_seconds = time.perf_counter() - t0 - mine_seconds.value
+        is_local = table.column("local")
+        local = table.filter(is_local).select(MENTIONS_SCHEMA.fieldNames()).to_pandas()
+        emb = table.filter(pc.invert(is_local)).drop_columns(["local"])
+    else:
+        local = system.tag(tweets_df).toPandas()
+        local_seconds = time.perf_counter() - t0
+        emb = None
     for key in _seed_keys(local):
         ctrie.insert(key)
     mined = pd.DataFrame(columns=MINED_SCHEMA.fieldNames())
     if len(ctrie):
-        emb_df = mine_and_embed(spark, tweets_df, ctrie, system, phrase_embedder)
-        mined, embs = _collect_mentions(emb_df, candidate_base.d_emb)
+        if emb is None:
+            emb = mine_and_embed(spark, tweets_df, ctrie, system, phrase_embedder)
+        mined, embs = _collect_mentions(emb, candidate_base.d_emb)
         candidate_base.add_mentions(mined["key"].to_numpy(), embs)
         if classifier is not None:
             candidate_base.classify_all(classifier)
     final = mined[mined["key"].isin(candidate_base.entity_keys())].reset_index(drop=True)
     return GlobalizerResult(
-        local, mined, final, candidate_base.table(), t1 - t0, time.perf_counter() - t1
+        local, mined, final, candidate_base.table(), local_seconds,
+        time.perf_counter() - t0 - local_seconds,
     )
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "CAT_NONDISC",
     "N_CATEGORIES",
     "mention_category",
+    "sentence_categories",
     "one_hot",
 ]
 
@@ -33,10 +34,23 @@ CAT_NONDISC = 5  # (6) sentence casing carries no information
 N_CATEGORIES = 6
 
 
+def sentence_categories(tokens: list, spans: list) -> list:
+    """The category of each ``(start, length)`` mention span of one
+    sentence; the sentence's casing (category 6) is checked once."""
+    if not spans:
+        return []
+    if sentence_nondiscriminative(tokens):
+        return [CAT_NONDISC] * len(spans)
+    return [_span_category(tokens, start, length) for start, length in spans]
+
+
 def mention_category(tokens: list, start: int, length: int) -> int:
     """Classify the mention at ``tokens[start:start+length]``."""
-    if sentence_nondiscriminative(tokens):
-        return CAT_NONDISC
+    return sentence_categories(tokens, [(start, length)])[0]
+
+
+def _span_category(tokens: list, start: int, length: int) -> int:
+    """Categories 1–5 of a span in a sentence whose casing is informative."""
     span = tokens[start : start + length]
     cap_initial = [len(t) > 0 and t[0].isupper() for t in span]
     if all(len(t) > 1 and t.isupper() for t in span):

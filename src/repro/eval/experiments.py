@@ -2,12 +2,13 @@
 the Section VI-C error analysis.
 
 Tables III and IV, Fig. 6 and Section VI-C all read one grid of cells:
-``run_cells`` generates each dataset once and runs each (dataset, Local
-EMD system) cell of the framework once, and ``table3``, ``table4``,
+``run_cells`` runs each (dataset, Local EMD system) cell of the
+framework once on the corpora it is handed, and ``table3``, ``table4``,
 ``ablation`` and ``error_analysis`` build their numbers from the cells
-they are handed. ``run_table1`` and ``run_table2`` read no cells.
-``run_tables`` renders any subset of ``TABLES`` as text, fitting each
-framework variant and running each cell the named tables need once;
+they are handed. ``run_table1`` reads the corpora and no cells,
+``run_table2`` the fitted variants. ``run_tables`` renders any subset of
+``TABLES`` as text, generating each corpus, fitting each framework
+variant and running each cell the named tables need once;
 ``jobs/run_all.py`` writes that text to files. ``scale``/``d5_scale``
 shrink corpora for tests; the full run uses Table I sizes with the D5
 classifier stream at 20% (38K -> 7.6K tweets; the candidate
@@ -42,6 +43,7 @@ __all__ = [
     "Cell",
     "make_system",
     "fitted_variants",
+    "generate_datasets",
     "run_cell",
     "run_cells",
     "f1_gain_pct",
@@ -59,6 +61,7 @@ DEFAULT_D5_SCALE = 0.2
 
 AGUILAR = "Aguilar et al."
 STREAMING = ("d1", "d2", "d3", "d4")
+TABLE1_DATASETS = (*paper.DATASETS, "d5")
 
 # mention-count bin width of the Section VI-C classifier recall (Fig. 7)
 FREQ_BIN_WIDTH = 5
@@ -167,11 +170,18 @@ def table3_row(
     }
 
 
-def run_table1(*, scale: float = 1.0) -> pd.DataFrame:
-    """Table I: generated dataset statistics vs the paper's legible ones."""
+def generate_datasets(names, *, scale: float) -> dict:
+    """``{name: TweetDataset}``: each named corpus generated once at
+    ``scale``, in first-seen order."""
+    return {d: gen.generate(d, scale=scale) for d in dict.fromkeys(names)}
+
+
+def run_table1(datasets: dict) -> pd.DataFrame:
+    """Table I: the statistics of the ``TABLE1_DATASETS`` corpora in
+    ``datasets`` vs the paper's legible ones."""
     rows = []
-    for name in [*paper.DATASETS, "d5"]:
-        st = gen.generate(name, scale=scale).stats()
+    for name in TABLE1_DATASETS:
+        st = datasets[name].stats()
         st["paper_size"] = paper.TABLE1.get(name, {}).get("size")
         rows.append(st)
     return pd.DataFrame(rows)
@@ -196,13 +206,10 @@ def run_table2(variants: dict) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def run_cells(spark: SparkSession, variants: dict, pairs: list, *, scale: float) -> dict:
+def run_cells(spark: SparkSession, variants: dict, pairs: list, datasets: dict) -> dict:
     """Run each ``(dataset, system)`` pair of ``pairs`` once with the
-    system's variant, generating each dataset once at ``scale``;
-    returns ``{(dataset, system): Cell}`` in ``pairs`` order."""
-    datasets = {
-        d: gen.generate(d, scale=scale) for d in dict.fromkeys(d for d, _ in pairs)
-    }
+    system's variant on the corpus ``datasets[dataset]``; returns
+    ``{(dataset, system): Cell}`` in ``pairs`` order."""
     return {(d, s): run_cell(spark, variants[s], datasets[d]) for d, s in pairs}
 
 
@@ -388,11 +395,13 @@ def run_tables(
     )
     pairs = {n: [(d, s) for d in TABLES[n][1] for s in TABLES[n][0]] for n in names}
     grid = list(dict.fromkeys(p for n in names for p in pairs[n]))
-    cells = run_cells(spark, variants, grid, scale=scale)
+    table1 = TABLE1_DATASETS if "table1" in names else ()
+    datasets = generate_datasets([*table1, *(d for d, _ in grid)], scale=scale)
+    cells = run_cells(spark, variants, grid, datasets)
     own = {n: {p: cells[p] for p in pairs[n]} for n in names}
 
     render = {
-        "table1": lambda: run_table1(scale=scale).to_string(index=False),
+        "table1": lambda: run_table1(datasets).to_string(index=False),
         "table2": lambda: run_table2(variants).to_string(index=False),
         "table3": lambda: _table3_text(table3(own["table3"])),
         "table4": lambda: table4(

@@ -187,6 +187,12 @@ class LocalEMDSystem:
 
         return tweets_df.mapInPandas(run, schema=MENTIONS_SCHEMA)
 
+    def tag_and_embed(self, tokens: list, tweet_id: int, sent_id: int) -> tuple:
+        """``(spans, activations)``: ``tag_sentence``'s spans and, for deep
+        systems, the ``entity_aware_embeddings`` of the same forward pass
+        (``None`` for the others)."""
+        return self.tag_sentence(tokens, tweet_id, sent_id), None
+
     # -- deep-system extension points ----------------------------------
     def entity_aware_embeddings(
         self, tokens: list, tweet_id: int, sent_id: int

@@ -10,7 +10,9 @@ argmax BIO decoding (``decode_bio``) and the gazetteer lexical features
 (``gazetteer_features``). ``DeepEMDSystem`` adds a contextual-embedding
 input and exposes its penultimate layer as the 'entity-aware' token
 embedding consumed by Global EMD (Section IV: "the output of the neural
-network's final layer before token-level classification").
+network's final layer before token-level classification"); one forward
+pass gives a sentence's spans and those embeddings together
+(``tag_and_embed``).
 """
 from __future__ import annotations
 
@@ -88,9 +90,10 @@ def bio_training_set(tweets: pd.DataFrame, gold: pd.DataFrame, features) -> tupl
     return np.concatenate(Xs).astype(np.float32), np.concatenate(Ys)
 
 
-def decode_bio(model: MLP, X: np.ndarray) -> list:
-    """``(start, length)`` spans of the most probable O/B/I tag per token."""
-    return bio_to_spans(np.argmax(model.forward(X), axis=1))
+def decode_bio(probs: np.ndarray) -> list:
+    """``(start, length)`` spans of the most probable O/B/I tag per token
+    of an ``(n_tokens, 3)`` output."""
+    return bio_to_spans(np.argmax(probs, axis=1))
 
 
 def gazetteer_features(tokens: list, unigram_keys: set, all_tokens: set) -> np.ndarray:
@@ -157,11 +160,18 @@ class BioTagger(LocalEMDSystem):
         if self.model is None:
             raise RuntimeError(f"{self.name}: call fit() before tagging")
 
+    def _forward(self, tokens: list, tweet_id: int, sent_id: int) -> tuple:
+        """One forward pass over a sentence: its decoded spans and the
+        activations entering the output layer."""
+        self._check_fitted()
+        hidden = self.model.penultimate(self._features(tokens, tweet_id, sent_id))
+        return decode_bio(self.model.layers[-1].forward(hidden)), hidden
+
     def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
         self._check_fitted()
         if not tokens:
             return []
-        return decode_bio(self.model, self._features(tokens, tweet_id, sent_id))
+        return self._forward(tokens, tweet_id, sent_id)[0]
 
 
 class DeepEMDSystem(BioTagger):
@@ -204,3 +214,9 @@ class DeepEMDSystem(BioTagger):
         return self.model.penultimate(
             self._features(tokens, tweet_id, sent_id)
         ).astype(np.float32)
+
+    def tag_and_embed(self, tokens: list, tweet_id: int, sent_id: int) -> tuple:
+        """``tag_sentence``'s spans and ``entity_aware_embeddings``' array,
+        bit-equal to both, from one forward pass."""
+        spans, hidden = self._forward(tokens, tweet_id, sent_id)
+        return spans, hidden.astype(np.float32)

@@ -14,7 +14,10 @@ Streaming job over a file source of tweet micro-batches:
   seed candidates, occurrence mining of the batch against all candidates
   known so far, incremental CandidateBase (sum, count) pooling, and
   re-classification — gamma (ambiguous) candidates gain evidence as new
-  mentions arrive, exactly the paper's incremental design.
+  mentions arrive, exactly the paper's incremental design. The batch is
+  cached and counted first; a batch read from one file is one
+  partition, so the cycle's tagging, seeding, mining and embedding then
+  run as one Spark job.
 """
 from __future__ import annotations
 

@@ -8,9 +8,11 @@ from repro.eval import experiments
 from repro.eval import paper_numbers as paper
 from repro.eval.experiments import (
     AGUILAR,
+    TABLE1_DATASETS,
     ablation,
     error_analysis,
     f1_gain_pct,
+    generate_datasets,
     make_system,
     run_cells,
     run_table1,
@@ -74,14 +76,14 @@ class TestMakeSystem:
 
 class TestTable1:
     def test_rows_and_columns(self):
-        t = run_table1(scale=0.02)
+        t = run_table1(generate_datasets(TABLE1_DATASETS, scale=0.02))
         assert set(t["dataset"]) == {*paper.DATASETS, "d5"}
         assert {"size", "n_topics", "n_hashtags", "n_entities", "n_mentions"} <= set(
             t.columns
         )
 
     def test_paper_sizes_attached(self):
-        t = run_table1(scale=0.02).set_index("dataset")
+        t = run_table1(generate_datasets(TABLE1_DATASETS, scale=0.02)).set_index("dataset")
         assert t.loc["d2", "paper_size"] == 2000
 
 
@@ -102,13 +104,15 @@ class TestTable2:
 @pytest.fixture(scope="module")
 def d1_cells_30(spark, aguilar_variant):
     """Aguilar's D1@0.3 cell, read by the Table III and Table IV tests."""
-    return run_cells(spark, {AGUILAR: aguilar_variant}, [("d1", AGUILAR)], scale=0.3)
+    d1 = generate_datasets(["d1"], scale=0.3)
+    return run_cells(spark, {AGUILAR: aguilar_variant}, [("d1", AGUILAR)], d1)
 
 
 @pytest.fixture(scope="module")
 def d1_cells_25(spark, aguilar_variant):
     """Aguilar's D1@0.25 cell, read by the Fig. 6 and Section VI-C tests."""
-    return run_cells(spark, {AGUILAR: aguilar_variant}, [("d1", AGUILAR)], scale=0.25)
+    d1 = generate_datasets(["d1"], scale=0.25)
+    return run_cells(spark, {AGUILAR: aguilar_variant}, [("d1", AGUILAR)], d1)
 
 
 class TestTable3:
@@ -197,7 +201,8 @@ class TestRunTables:
     def test_table1_builds_no_variant(self, spark, builds):
         out = run_tables(spark, ["table1"], scale=0.02)
         assert list(out) == ["table1"]
-        assert out["table1"] == run_table1(scale=0.02).to_string(index=False)
+        table1 = run_table1(generate_datasets(TABLE1_DATASETS, scale=0.02))
+        assert out["table1"] == table1.to_string(index=False)
         assert builds == []
 
     def test_table2_builds_each_system_once(
@@ -212,14 +217,22 @@ class TestRunTables:
         assert out["table2"] == run_table2(variants).to_string(index=False)
 
     def test_each_cell_runs_once(self, spark, builds, monkeypatch):
-        """Table IV and Fig. 6 share their Aguilar cells on D1–D4."""
-        calls = []
+        """Table IV and Fig. 6 share their Aguilar cells on D1–D4, and
+        Table I reads the corpora those cells ran on."""
+        calls, generated = [], []
         run_cell = experiments.run_cell
+        generate = experiments.gen.generate
 
         def recording_run_cell(spark, variant, dataset):
             calls.append((dataset.name, variant.system.name))
             return run_cell(spark, variant, dataset)
 
+        def recording_generate(name, **kwargs):
+            generated.append(name)
+            return generate(name, **kwargs)
+
         monkeypatch.setattr(experiments, "run_cell", recording_run_cell)
-        run_tables(spark, ["table4", "ablation"], scale=0.02)
+        monkeypatch.setattr(experiments.gen, "generate", recording_generate)
+        run_tables(spark, ["table1", "table4", "ablation"], scale=0.02)
         assert sorted(calls) == sorted((d, AGUILAR) for d in paper.DATASETS)
+        assert sorted(generated) == sorted([*TABLE1_DATASETS, "wnut17_train"])

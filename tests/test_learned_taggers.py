@@ -136,6 +136,21 @@ class TestFittedSystems:
     def test_tag_sentence_empty(self, aguilar):
         assert aguilar.tag_sentence([], 0, 0) == []
 
+    @pytest.mark.parametrize("fixture", ["aguilar", "bertweet", "twitter_nlp"])
+    def test_tag_and_embed_is_tag_sentence_and_embeddings(self, request, fixture, d1_small):
+        """One forward pass gives ``tag_sentence``'s spans and the exact
+        ``entity_aware_embeddings`` (none for a non-deep tagger)."""
+        system = request.getfixturevalue(fixture)
+        for r in d1_small.tweets.head(40).itertuples():
+            toks = list(r.tokens)
+            spans, ea = system.tag_and_embed(toks, r.tweet_id, r.sent_id)
+            assert spans == system.tag_sentence(toks, r.tweet_id, r.sent_id)
+            if system.is_deep:
+                expect = system.entity_aware_embeddings(toks, r.tweet_id, r.sent_id)
+                assert ea.dtype == np.float32 and np.array_equal(ea, expect)
+            else:
+                assert ea is None
+
     def test_pickle_roundtrip_tags_identically(self, aguilar, d1_small):
         import pickle
 

@@ -7,11 +7,15 @@ from pyspark.sql import functions as F
 from repro.core.ctrie import CTrie
 from repro.core.mention_extraction import (
     EMB_SCHEMA,
+    TAGGED_EMB_SCHEMA,
+    _seed_keys,
+    _sentence_mentions,
     collect_local_embeddings,
     extract_mentions,
     mine_and_embed,
+    tag_mine_and_embed,
 )
-from repro.core.syntactic import N_CATEGORIES, one_hot
+from repro.core.syntactic import N_CATEGORIES, mention_category, one_hot
 from repro.oracle import assert_equivalent
 from repro.streams.generator import TWEETS_SCHEMA
 
@@ -69,6 +73,17 @@ class TestExtractMentions:
             "SELECT key, COUNT(*) AS n FROM mined GROUP BY key",
             mined=mined_df.toPandas(),
         )
+
+    def test_sentence_categories_equal_per_mention(self, gold_trie, d1_small):
+        """The scan checks a sentence's casing once; each row's category
+        is still ``mention_category`` of its span."""
+        cats = []
+        for r in d1_small.tweets.itertuples():
+            toks = list(r.tokens)
+            for row in _sentence_mentions(gold_trie, r.tweet_id, r.sent_id, toks):
+                assert row[6] == mention_category(toks, row[2], row[3])
+                cats.append(row[6])
+        assert len(cats) > 500 and set(cats) == set(range(N_CATEGORIES))
 
     def test_empty_trie_yields_no_mentions(self, spark, tweets_df):
         mined = extract_mentions(spark, tweets_df, CTrie(["zzznotpresent"])).toPandas()
@@ -193,3 +208,44 @@ class TestMineAndEmbed:
         split = collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         assert "Exchange" not in _plan(fused)
         assert "Exchange" in _plan(split)
+
+
+class TestTagMineAndEmbed:
+    @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
+    def test_equals_tag_then_mine_and_embed(self, spark, request, variant, edge_df, edge_trie):
+        """On one partition, the one-task pass gives Local EMD's mentions
+        and the exact rows and float32 embeddings of ``mine_and_embed``
+        on a CTrie seeded with them; the edge sentences give no row and
+        the given CTrie is left as it was."""
+        v = request.getfixturevalue(variant)
+        n_keys = len(edge_trie)
+        rows, mine_seconds = tag_mine_and_embed(
+            spark, edge_df.coalesce(1), edge_trie, v.system, v.phrase_embedder
+        )
+        assert [f.name for f in rows.schema] == TAGGED_EMB_SCHEMA.fieldNames()
+        out = _by_span(rows)
+        assert len(edge_trie) == n_keys
+        assert mine_seconds.value > 0
+        local = out[out["local"]].reset_index(drop=True)
+        fused = out[~out["local"]].drop(columns="local").reset_index(drop=True)
+        tagged = _by_span(v.system.tag(edge_df))
+        pd.testing.assert_frame_equal(local[tagged.columns], tagged, check_exact=True)
+        assert (local["category"] == -1).all() and (local["emb"].map(len) == 0).all()
+        seeded = CTrie(edge_trie.keys() + _seed_keys(tagged))
+        split = _by_span(mine_and_embed(spark, edge_df, seeded, v.system, v.phrase_embedder))
+        assert len(fused) > 0
+        pd.testing.assert_frame_equal(
+            fused.drop(columns="emb"), split.drop(columns="emb"), check_exact=True
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(fused["emb"], split["emb"]))
+        assert not out["tweet_id"].isin([10**9, 10**9 + 1]).any()
+
+    def test_deep_requires_phrase_embedder_before_any_job(self, spark, aguilar, edge_df):
+        sc = spark.sparkContext
+        sc.setJobGroup("fused-no-pe", "fused-no-pe")
+        try:
+            with pytest.raises(ValueError):
+                tag_mine_and_embed(spark, edge_df.coalesce(1), CTrie(), aguilar, None)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert sc.statusTracker().getJobIdsForGroup("fused-no-pe") == []

@@ -9,14 +9,18 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.candidate_base import CandidateBase
+from repro.core.ctrie import CTrie
 from repro.core.pipeline import (
     MAX_CANDIDATE_TOKENS,
     EMDGlobalizer,
     _collect_mentions,
     _seed_keys,
     candidate_table,
+    global_emd_cycle,
 )
 from repro.eval.experiments import run_cell
+from repro.local_emd.base import SPAN_COLS
 from repro.eval.metrics import score_mentions
 from repro.streams import generator as gen
 
@@ -27,6 +31,20 @@ def d1_run(spark, aguilar_variant, d1_small):
     res = EMDGlobalizer(aguilar_variant).run(spark, tweets_df)
     tweets_df.unpersist()
     return res
+
+
+def _fresh_cycle(spark, variant, tweets_df) -> tuple:
+    """One classified cycle from fresh state, and its CandidateBase."""
+    cb = CandidateBase(variant.emb_dim)
+    res = global_emd_cycle(
+        spark, variant.system, variant.phrase_embedder, tweets_df, CTrie(), cb,
+        variant.classifier,
+    )
+    return res, cb
+
+
+def _sorted(mentions: pd.DataFrame) -> pd.DataFrame:
+    return mentions.sort_values(SPAN_COLS).reset_index(drop=True)
 
 
 class TestSeedKeys:
@@ -187,19 +205,47 @@ class TestNonDeepVariant:
     def test_output_independent_of_partitioning(
         self, spark, chunker_variant, aguilar_variant, d1_small
     ):
-        """Pooling sums mentions in span order, so candidates and final
-        mentions are bit-identical however the tweets are partitioned
-        (the deep path's float sums included)."""
-        cols = ["tweet_id", "sent_id", "start", "length", "key"]
+        """One partition takes the one-job plan and eight the two-job
+        plan; pooling sums mentions in span order, so local and mined
+        mentions, every candidate's (sum, count), score and label, and
+        the final mentions are bit-identical (the deep path's float sums
+        included)."""
         for variant in (chunker_variant, aguilar_variant):
-            one, eight = (
-                EMDGlobalizer(variant).run(spark, d1_small.to_spark(spark).repartition(n))
+            (one, cb_one), (eight, cb_eight) = (
+                _fresh_cycle(spark, variant, d1_small.to_spark(spark).repartition(n))
                 for n in (1, 8)
             )
-            pd.testing.assert_frame_equal(one.candidates, eight.candidates, check_exact=True)
-            assert set(map(tuple, one.final_mentions[cols].itertuples(index=False))) == set(
-                map(tuple, eight.final_mentions[cols].itertuples(index=False))
+            pd.testing.assert_frame_equal(
+                _sorted(one.local_mentions), _sorted(eight.local_mentions), check_exact=True
             )
+            pd.testing.assert_frame_equal(
+                one.mined_mentions, eight.mined_mentions, check_exact=True
+            )
+            pd.testing.assert_frame_equal(one.candidates, eight.candidates, check_exact=True)
+            pd.testing.assert_frame_equal(
+                one.final_mentions, eight.final_mentions, check_exact=True
+            )
+            assert cb_one.keys() == cb_eight.keys()
+            assert all(
+                np.array_equal(cb_one.get(k).emb_sum, cb_eight.get(k).emb_sum)
+                for k in cb_one.keys()
+            )
+
+    @pytest.mark.parametrize("n_partitions, n_jobs", [(1, 1), (4, 2)])
+    def test_spark_jobs_per_cycle(self, spark, chunker_variant, d1_small, n_partitions, n_jobs):
+        """A cached one-partition batch costs one Spark job; a batch of
+        several partitions, whose seeds one task cannot see, costs two."""
+        df = d1_small.to_spark(spark).repartition(n_partitions).cache()
+        df.count()
+        sc = spark.sparkContext
+        group = f"cycle-jobs-{n_partitions}"
+        sc.setJobGroup(group, group)
+        try:
+            _fresh_cycle(spark, chunker_variant, df)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            df.unpersist()
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == n_jobs
 
     def test_chunker_variant_uses_6d_embeddings(self, chunker_variant):
         assert chunker_variant.emb_dim == 6

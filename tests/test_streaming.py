@@ -10,11 +10,13 @@ from repro.core.pipeline import EMDGlobalizer
 from repro.eval.metrics import score_mentions
 from repro.streaming import job
 from repro.streaming.job import (
+    MENTION_COLS,
     STREAM_SCHEMA,
     StreamingGlobalizer,
     write_stream_batches,
 )
 from repro.streams import generator as gen
+from repro.streams.generator import TWEETS_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,39 @@ class TestIncrementalPipeline:
                 )
         finally:
             df.unpersist()
+
+    def test_partitioning_of_micro_batches_changes_nothing(
+        self, spark, chunker_variant, aguilar_variant, ds_small
+    ):
+        """Three one-partition micro-batches (the one-job plan) and the
+        same batches split into two partitions (the two-job plan) leave
+        the same CTrie and candidate state, (sum, count) included, and
+        emit the same mentions."""
+        per = -(-len(ds_small.tweets) // 3)
+        chunks = [ds_small.tweets.iloc[i : i + per] for i in range(0, len(ds_small.tweets), per)]
+        for variant in (chunker_variant, aguilar_variant):
+            runs = []
+            for n in (1, 2):
+                sg = StreamingGlobalizer(variant)
+                emitted = [
+                    sg.process_batch(
+                        spark, spark.createDataFrame(c, TWEETS_SCHEMA).repartition(n), b
+                    ).mentions.sort_values(MENTION_COLS).reset_index(drop=True)
+                    for b, c in enumerate(chunks)
+                ]
+                runs.append((sg, emitted))
+            (sg1, out1), (sg2, out2) = runs
+            assert sg1.ctrie.keys() == sg2.ctrie.keys()
+            pd.testing.assert_frame_equal(
+                sg1.candidate_base.table(), sg2.candidate_base.table(), check_exact=True
+            )
+            assert all(
+                np.array_equal(sg1.candidate_base.get(k).emb_sum, sg2.candidate_base.get(k).emb_sum)
+                for k in sg1.candidate_base.keys()
+            )
+            for a, b in zip(out1, out2):
+                pd.testing.assert_frame_equal(a, b, check_exact=True)
+            assert sum(len(m) for m in out1) > 0
 
     def test_empty_batches_emit_nothing(
         self, spark, chunker_variant, aguilar_variant, ds_small, monkeypatch

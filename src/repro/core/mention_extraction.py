@@ -10,28 +10,16 @@ systems the sentence's entity-aware token embeddings pooled over the
 mention span and pushed through the Entity Phrase Embedder's dense
 layer (Eq. 1–2).
 
-Two plans do this work:
+``scan_batch`` is the one ``mapInPandas`` task that does this work in
+a cycle. On a one-partition batch it also tags every sentence and seeds
+its own CTrie copy, embedding from the activations of the tagging pass;
+on a batch of several partitions, whose seeds a task cannot see, it
+scans with the CTrie the driver seeded. It holds each sentence's
+tokens, so no join or shuffle follows it.
 
-- ``tag_mine_and_embed`` — for a one-partition batch, one
-  ``mapInPandas`` task tags every sentence (one forward pass per
-  sentence gives the spans and, for deep systems, the entity-aware
-  embeddings), seeds a copy of the broadcast CTrie with the partition's
-  local keys, scans every sentence and embeds each mention from the
-  activations it already holds. One Spark job; the DNN runs once per
-  sentence.
-- ``mine_and_embed`` — for a batch of several partitions, whose seeds a
-  task cannot see, the second of two jobs after ``LocalEMDSystem.tag``:
-  the broadcast CTrie, already seeded on the driver, scans every
-  sentence. Non-deep path: the ``extract_mentions`` scan, then the
-  one-hot from Spark column expressions. Deep path: one ``mapInPandas``
-  scan that, for each sentence with a mention, recomputes its
-  entity-aware embeddings once (bit-equal to the values Local EMD
-  produced, see ``repro.local_emd.embeddings``); it holds each
-  sentence's tokens, so no join or shuffle follows it.
-
-``extract_mentions`` and ``collect_local_embeddings`` split the second
-plan's work in two steps (the deep one joins the mentions back onto
-their tweets) for the per-layer benchmark trace.
+``extract_mentions`` and ``collect_local_embeddings`` do the same work
+in two steps (the deep one joins the mentions back onto their tweets)
+for the benchmark's layer trace and as the tests' reference.
 """
 from __future__ import annotations
 
@@ -39,6 +27,7 @@ import pickle
 import time
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -52,8 +41,7 @@ __all__ = [
     "MAX_CANDIDATE_TOKENS",
     "extract_mentions",
     "collect_local_embeddings",
-    "mine_and_embed",
-    "tag_mine_and_embed",
+    "scan_batch",
     "MINED_SCHEMA",
     "EMB_SCHEMA",
     "TAGGED_EMB_SCHEMA",
@@ -71,8 +59,8 @@ EMB_SCHEMA = T.StructType(
     MINED_SCHEMA.fields + [T.StructField("emb", T.ArrayType(T.FloatType()), False)]
 )
 
-# ``tag_mine_and_embed``'s rows: Local EMD's mentions (``local``, with
-# category -1 and an empty ``emb``) and the mined ``EMB_SCHEMA`` rows
+# ``scan_batch``'s rows: Local EMD's mentions when it tags (``local``,
+# with category -1 and an empty ``emb``) and the mined ``EMB_SCHEMA`` rows
 TAGGED_EMB_SCHEMA = T.StructType(
     EMB_SCHEMA.fields + [T.StructField("local", T.BooleanType(), False)]
 )
@@ -107,8 +95,8 @@ def _sentence_mentions(trie: CTrie, tweet_id, sent_id, toks: list) -> list:
 def _span_embeddings(pe, ea, spans: list) -> list:
     """The local candidate embedding (Eq. 1–2) of each ``(start, length)``
     span of one sentence whose entity-aware token embeddings are ``ea``,
-    as float lists."""
-    return [pe.embed_tokens(ea[s : s + n]).tolist() for s, n in spans]
+    as float32 arrays."""
+    return [pe.embed_tokens(ea[s : s + n]) for s, n in spans]
 
 
 def _recomputed_span_embeddings(
@@ -120,6 +108,50 @@ def _recomputed_span_embeddings(
         return []
     ea = system.entity_aware_embeddings(toks, int(tweet_id), int(sent_id))
     return _span_embeddings(pe, ea, spans)
+
+
+# row ``c`` is ``syntactic.one_hot(c)``
+_ONE_HOT = np.eye(syntactic.N_CATEGORIES, dtype=np.float32)
+
+
+def _tagged_sentences(system, tweets: pd.DataFrame) -> tuple:
+    """Local EMD's mention rows of a pandas chunk of tweets, and its
+    sentences as ``(tweet_id, sent_id, tokens, activations)`` with the
+    activations of the same forward pass (``tag_and_embed``)."""
+    sentences = []
+
+    def tag(toks, tweet_id, sent_id):
+        spans, ea = system.tag_and_embed(toks, tweet_id, sent_id)
+        sentences.append((tweet_id, sent_id, toks, ea))
+        return spans
+
+    return mentions_frame(tweets, tag), sentences
+
+
+def _mined_frame(trie: CTrie, system, pe, sentences) -> pd.DataFrame:
+    """``TAGGED_EMB_SCHEMA`` rows (``local`` false) of every mention of a
+    ``trie`` candidate in ``sentences``, ``(tweet_id, sent_id, tokens,
+    activations)`` tuples.
+
+    With a phrase embedder ``pe`` (deep systems) each mention is embedded
+    from its sentence's activations, recomputed if they are ``None``.
+    Otherwise the embedding is the one-hot of the mention's category.
+    """
+    rows, embs = [], []
+    for tweet_id, sent_id, toks, ea in sentences:
+        mentions = _sentence_mentions(trie, tweet_id, sent_id, toks)
+        rows += mentions
+        if pe is not None:
+            spans = [(m[2], m[3]) for m in mentions]
+            embs += (
+                _recomputed_span_embeddings(system, pe, toks, tweet_id, sent_id, spans)
+                if ea is None
+                else _span_embeddings(pe, ea, spans)
+            )
+    mined = pd.DataFrame(rows, columns=MINED_SCHEMA.fieldNames())
+    if pe is None:
+        embs = list(_ONE_HOT[mined["category"].to_numpy(dtype=np.intp)])
+    return mined.assign(emb=pd.Series(embs, index=mined.index, dtype=object), local=False)
 
 
 def _with_one_hot(mined_df: DataFrame) -> DataFrame:
@@ -172,7 +204,7 @@ def collect_local_embeddings(
     embedding is the syntactic one-hot (``phrase_embedder`` unused). For
     deep systems the mentions are joined back onto their sentences'
     tokens and each sentence's entity-aware embeddings are computed
-    once. ``mine_and_embed`` does both steps in one scan.
+    once. ``scan_batch`` does both steps in one scan.
     """
     if not system.is_deep:
         return _with_one_hot(mined_df)
@@ -203,112 +235,73 @@ def collect_local_embeddings(
     return joined.mapInPandas(run, schema=EMB_SCHEMA)
 
 
-def mine_and_embed(
+def scan_batch(
     spark: SparkSession,
     tweets_df: DataFrame,
     ctrie: CTrie,
     system,
     phrase_embedder=None,
-) -> DataFrame:
-    """Every mention of every ``ctrie`` candidate in ``tweets_df`` with
-    its syntactic category and local candidate embedding (``EMB_SCHEMA``
-    rows), lazily.
-
-    For non-deep systems this is ``extract_mentions`` plus the one-hot
-    columns. For deep systems it is one ``mapInPandas`` scan with the
-    broadcast CTrie and the phrase embedder's weights in the closure:
-    each sentence is scanned, and if anything matched its entity-aware
-    embeddings are computed once and pooled per mention span.
-    """
-    if not system.is_deep:
-        return _with_one_hot(extract_mentions(spark, tweets_df, ctrie))
-
-    dense = _phrase_arrays(phrase_embedder)
-    bc = spark.sparkContext.broadcast(ctrie)
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from repro.core.phrase_embedder import PhraseEmbedder
-
-        trie: CTrie = bc.value
-        pe = PhraseEmbedder.from_arrays(dense)
-        for pdf in batches:
-            rows = []
-            for tweet_id, sent_id, toks in zip(
-                pdf["tweet_id"], pdf["sent_id"], pdf["tokens"]
-            ):
-                toks = list(toks)
-                mentions = _sentence_mentions(trie, tweet_id, sent_id, toks)
-                spans = [(m[2], m[3]) for m in mentions]
-                embs = _recomputed_span_embeddings(system, pe, toks, tweet_id, sent_id, spans)
-                rows += [m + (e,) for m, e in zip(mentions, embs)]
-            yield pd.DataFrame(rows, columns=EMB_SCHEMA.fieldNames())
-
-    return tweets_df.mapInPandas(run, schema=EMB_SCHEMA)
-
-
-def tag_mine_and_embed(
-    spark: SparkSession,
-    tweets_df: DataFrame,
-    ctrie: CTrie,
-    system,
-    phrase_embedder=None,
+    *,
+    tag: bool,
 ) -> tuple:
-    """Local EMD, seeding, mining and embedding in one ``mapInPandas``
-    pass, lazily: ``(rows, mine_seconds)``.
+    """One ``mapInPandas`` pass over ``tweets_df`` that mines and embeds
+    every mention of every candidate, lazily: ``(rows, mine_seconds,
+    n_sentences)``.
 
-    ``rows`` (``TAGGED_EMB_SCHEMA``) holds Local EMD's mentions of
-    ``tweets_df`` (``local`` true) and every mention of every candidate
-    with its category and local candidate embedding (``EMB_SCHEMA``
-    columns, ``local`` false). Each task tags its sentences with one
-    forward pass each (``tag_and_embed``), inserts the ``_seed_keys`` of
-    its local mentions into its own copy of ``ctrie`` (a broadcast value
-    is shared by the tasks a worker runs), scans every sentence with it
-    and embeds each mention from the activations it kept. It holds those
-    activations until the scan: about 1.4 MB per 250 tweets with
-    Aguilar's 100-d layer. ``ctrie`` itself is not changed.
+    ``rows`` (``TAGGED_EMB_SCHEMA``) holds the mentions with their
+    category and local candidate embedding, yielded one input chunk of
+    sentences at a time. Deep systems compute a sentence's entity-aware
+    embeddings (bit-equal to Local EMD's, see
+    ``repro.local_emd.embeddings``) only if it has a mention.
 
-    On a one-partition ``tweets_df`` the mined rows are those
-    ``mine_and_embed`` gives on ``ctrie`` seeded with every local
-    mention. With more partitions a task sees only its own seeds, so
-    mentions of the other partitions' seeds would be missed.
+    With ``tag``, ``rows`` also holds Local EMD's mentions (``local``
+    true): each task tags its sentences with one forward pass each
+    (``tag_and_embed``), seeds its own copy of ``ctrie`` with their
+    ``_seed_keys`` (a broadcast value is shared by a worker's tasks) and
+    mines with it, embedding from the activations it kept (about 1.4 MB
+    per 250 tweets with Aguilar). A task sees only its own seeds, so
+    this equals mining on ``ctrie`` seeded with every local mention
+    only on a one-partition ``tweets_df``. ``ctrie`` is not changed.
 
-    ``mine_seconds`` is an accumulator to which each task adds the
-    seconds it spent after tagging; read it after the action.
+    ``mine_seconds`` and ``n_sentences`` are accumulators of the seconds
+    the tasks spent seeding and mining and of the sentences they read;
+    read them after the action.
     """
     dense = _phrase_arrays(phrase_embedder) if system.is_deep else None
     sc = spark.sparkContext
     # each task unpickles its own copy to seed: cheaper than a deep copy
     bc = sc.broadcast(pickle.dumps(ctrie, pickle.HIGHEST_PROTOCOL))
-    mine_seconds = sc.accumulator(0.0)
+    mine_seconds, n_sentences = sc.accumulator(0.0), sc.accumulator(0)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         from repro.core.phrase_embedder import PhraseEmbedder
 
         pe = None if dense is None else PhraseEmbedder.from_arrays(dense)
-        sentences, local = [], []
-
-        def tag(toks, tweet_id, sent_id):
-            spans, ea = system.tag_and_embed(toks, tweet_id, sent_id)
-            sentences.append((tweet_id, sent_id, toks, ea))
-            return spans
-
-        for pdf in batches:
-            local.append(mentions_frame(pdf, tag))
-            yield local[-1].assign(category=-1, emb=[[]] * len(local[-1]), local=True)
-        t0 = time.perf_counter()
         trie: CTrie = pickle.loads(bc.value)
-        seeds = _seed_keys(pd.concat(local)) if local else []  # no batch: empty partition
-        for key in seeds:
-            trie.insert(key)
-        rows = []
-        for tweet_id, sent_id, toks, ea in sentences:
-            mentions = _sentence_mentions(trie, tweet_id, sent_id, toks)
-            if pe is None:
-                embs = [syntactic.one_hot(m[6]).tolist() for m in mentions]
-            else:
-                embs = _span_embeddings(pe, ea, [(m[2], m[3]) for m in mentions])
-            rows += [m + (e, False) for m, e in zip(mentions, embs)]
-        mine_seconds.add(time.perf_counter() - t0)
-        yield pd.DataFrame(rows, columns=TAGGED_EMB_SCHEMA.fieldNames())
 
-    return tweets_df.mapInPandas(run, schema=TAGGED_EMB_SCHEMA), mine_seconds
+        def mine(sentences) -> pd.DataFrame:
+            t0 = time.perf_counter()
+            mined = _mined_frame(trie, system, pe, sentences)
+            mine_seconds.add(time.perf_counter() - t0)
+            return mined
+
+        held, seeds = [], set()
+        for pdf in batches:
+            n_sentences.add(len(pdf))
+            if tag:
+                local, sentences = _tagged_sentences(system, pdf)
+                held.append(sentences)
+                seeds.update(_seed_keys(local))
+                if len(local):  # an empty frame's ``emb`` would not convert to Arrow
+                    yield local.assign(category=-1, emb=[[]] * len(local), local=True)
+            else:
+                ids = zip(pdf["tweet_id"], pdf["sent_id"], pdf["tokens"])
+                yield mine((t, s, list(toks), None) for t, s, toks in ids)
+        t0 = time.perf_counter()
+        for key in sorted(seeds):
+            trie.insert(key)
+        mine_seconds.add(time.perf_counter() - t0)
+        for sentences in held:
+            yield mine(sentences)
+
+    return tweets_df.mapInPandas(run, schema=TAGGED_EMB_SCHEMA), mine_seconds, n_sentences

@@ -9,12 +9,12 @@ records mined from the D5 stream.
 ``global_emd_cycle`` is the one execution cycle on a tweet DataFrame:
 Local EMD -> seed candidates -> CTrie -> occurrence mining and local
 candidate embeddings -> pooled global embeddings in a ``CandidateBase``
--> entity classification -> final mention output. A one-partition
-input (a stream's micro-batch file) runs the first four steps as one
-Spark job (``tag_mine_and_embed``: the DNN runs once per sentence); an
-input of several partitions runs Local EMD as one job and mining plus
-embedding (``mine_and_embed``) as a second, because a partition cannot
-see the seeds the others find.
+-> entity classification -> final mention output. Mining and embedding
+run in one task, ``scan_batch``. On a one-partition input (a stream's
+micro-batch file) that task also tags and seeds, so the cycle is one
+Spark job and the DNN runs once per sentence; on an input of several
+partitions Local EMD runs as a job of its own first, because a
+partition cannot see the seeds the others find.
 ``EMDGlobalizer.run`` runs it from fresh state (batch mode; its local,
 mined and final mentions are Figure 6's three curves),
 ``candidate_table`` runs it without the classifier to build the
@@ -37,10 +37,8 @@ from repro.core.ctrie import CTrie
 from repro.core.entity_classifier import EntityClassifier
 from repro.core.mention_extraction import (
     MAX_CANDIDATE_TOKENS,
-    MINED_SCHEMA,
     _seed_keys,
-    mine_and_embed,
-    tag_mine_and_embed,
+    scan_batch,
 )
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
@@ -94,22 +92,22 @@ class GlobalizerResult:
     candidates: pd.DataFrame  # key, n_mentions, score, label
     local_seconds: float
     global_seconds: float
+    n_sentences: int  # tweet-sentences the cycle read
 
 
 def _emb_dim(system, phrase_embedder: PhraseEmbedder | None) -> int:
     return phrase_embedder.d_out if system.is_deep else N_CATEGORIES
 
 
-def _collect_mentions(emb, d_emb: int) -> tuple:
+def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
     """Mined mentions sorted by span, and their ``(n, d_emb)`` float32
-    embeddings in the same order, from ``EMB_SCHEMA`` rows: a DataFrame,
-    collected in one Spark action, or an Arrow table already collected.
+    embeddings in the same order, from a collected Arrow table of
+    ``EMB_SCHEMA`` rows.
 
-    The sort makes pooling independent of partitioning and of shuffle
-    arrival order. The embeddings are copied once, chunk by chunk, out
+    The sort makes pooling independent of partitioning and of the order
+    rows arrive in. The embeddings are copied once, chunk by chunk, out
     of Arrow's flat float buffers: no Python object per mention.
     """
-    table = emb if isinstance(emb, pa.Table) else emb.toArrow()
     mined = table.drop_columns(["emb"]).to_pandas()
     order = np.lexsort([mined[c].to_numpy() for c in reversed(SPAN_COLS)])
     rank = np.empty_like(order)
@@ -140,48 +138,48 @@ def global_emd_cycle(
     (sum, count). With a ``classifier``, every candidate is then
     re-labelled and the final mentions are the batch's mentions of
     entity candidates. ``ctrie`` and ``candidate_base`` are advanced in
-    place: fresh ones give batch mode, kept ones a stream.
+    place: fresh ones give batch mode, kept ones a stream. An empty
+    batch adds nothing and leaves every candidate's (sum, count), score
+    and label as they were.
 
-    The plan follows the partition count of ``tweets_df``. Reading it
-    runs no Spark job on a materialised cache or a scan; on a frame that
-    ends in a shuffle not yet run, adaptive execution runs that shuffle
-    to learn the count. One partition:
-    ``tag_mine_and_embed`` does all the Spark work in one job, and the
-    driver splits its rows and inserts the same seeds into ``ctrie``;
-    ``local_seconds`` is that job's time less the seconds its task
-    spent mining. Otherwise: ``LocalEMDSystem.tag``, then
-    ``mine_and_embed`` on the seeded ``ctrie``, one job each. Both
-    plans give the same bits. ``global_seconds`` is the rest of the
-    cycle.
+    ``scan_batch`` mines and embeds, collected as one Arrow table; it
+    also tags if ``tweets_df`` has one partition. Reading the count runs
+    no Spark job on a materialised cache or a scan; on a frame that ends
+    in a shuffle not yet run, adaptive execution runs that shuffle. One
+    partition: the cycle is one Spark job, the driver splits off the
+    local rows and inserts their seeds into ``ctrie``, and
+    ``local_seconds`` is the job's time less the seconds its task spent
+    seeding and mining. Otherwise ``LocalEMDSystem.tag`` runs as a job
+    first, the driver seeds ``ctrie``, and ``local_seconds`` is that
+    job's time. Both plans give the same bits. ``global_seconds`` is
+    the rest of the cycle; ``n_sentences`` counts the sentences read.
     """
     t0 = time.perf_counter()
-    if tweets_df.rdd.getNumPartitions() == 1:
-        rows, mine_seconds = tag_mine_and_embed(
-            spark, tweets_df, ctrie, system, phrase_embedder
-        )
-        table = rows.toArrow()
+    tag = tweets_df.rdd.getNumPartitions() == 1
+    if not tag:
+        local = system.tag(tweets_df).toPandas()
+        local_seconds = time.perf_counter() - t0
+        for key in _seed_keys(local):
+            ctrie.insert(key)
+    rows, mine_seconds, n_sentences = scan_batch(
+        spark, tweets_df, ctrie, system, phrase_embedder, tag=tag
+    )
+    table = rows.toArrow()
+    if tag:
         local_seconds = time.perf_counter() - t0 - mine_seconds.value
         is_local = table.column("local")
         local = table.filter(is_local).select(MENTIONS_SCHEMA.fieldNames()).to_pandas()
-        emb = table.filter(pc.invert(is_local)).drop_columns(["local"])
-    else:
-        local = system.tag(tweets_df).toPandas()
-        local_seconds = time.perf_counter() - t0
-        emb = None
-    for key in _seed_keys(local):
-        ctrie.insert(key)
-    mined = pd.DataFrame(columns=MINED_SCHEMA.fieldNames())
-    if len(ctrie):
-        if emb is None:
-            emb = mine_and_embed(spark, tweets_df, ctrie, system, phrase_embedder)
-        mined, embs = _collect_mentions(emb, candidate_base.d_emb)
-        candidate_base.add_mentions(mined["key"].to_numpy(), embs)
-        if classifier is not None:
-            candidate_base.classify_all(classifier)
+        table = table.filter(pc.invert(is_local))
+        for key in _seed_keys(local):
+            ctrie.insert(key)
+    mined, embs = _collect_mentions(table.drop_columns(["local"]), candidate_base.d_emb)
+    candidate_base.add_mentions(mined["key"].to_numpy(), embs)
+    if classifier is not None:
+        candidate_base.classify_all(classifier)
     final = mined[mined["key"].isin(candidate_base.entity_keys())].reset_index(drop=True)
     return GlobalizerResult(
         local, mined, final, candidate_base.table(), local_seconds,
-        time.perf_counter() - t0 - local_seconds,
+        time.perf_counter() - t0 - local_seconds, n_sentences.value,
     )
 
 

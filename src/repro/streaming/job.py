@@ -14,10 +14,10 @@ Streaming job over a file source of tweet micro-batches:
   seed candidates, occurrence mining of the batch against all candidates
   known so far, incremental CandidateBase (sum, count) pooling, and
   re-classification — gamma (ambiguous) candidates gain evidence as new
-  mentions arrive, exactly the paper's incremental design. The batch is
-  cached and counted first; a batch read from one file is one
-  partition, so the cycle's tagging, seeding, mining and embedding then
-  run as one Spark job.
+  mentions arrive, exactly the paper's incremental design. The cycle
+  reads the batch once and counts its tweets as it goes; a batch read
+  from one file is one partition, so the whole micro-batch is one Spark
+  job.
 """
 from __future__ import annotations
 
@@ -114,23 +114,20 @@ class StreamingGlobalizer:
         self, spark: SparkSession, batch_df: DataFrame, batch_id: int
     ) -> BatchOutput:
         """One ``global_emd_cycle`` (Section III steps 2–3) on a
-        micro-batch, against the kept CTrie and CandidateBase. An empty
-        micro-batch is recorded without running the cycle."""
+        micro-batch, against the kept CTrie and CandidateBase. The batch
+        is read once, by the cycle, which also counts its tweets; an
+        empty micro-batch emits nothing and changes no state."""
         v = self.variant
-        batch_df = batch_df.select(*TWEETS_SCHEMA.fieldNames()).cache()
         before = len(self.ctrie)
-        mentions = pd.DataFrame(columns=MENTION_COLS)
-        try:
-            n_tweets = batch_df.count()
-            if n_tweets:
-                res = global_emd_cycle(
-                    spark, v.system, v.phrase_embedder, batch_df,
-                    self.ctrie, self.candidate_base, v.classifier,
-                )
-                mentions = res.final_mentions[MENTION_COLS]
-        finally:
-            batch_df.unpersist()
-        out = BatchOutput(batch_id, n_tweets, len(self.ctrie) - before, mentions)
+        res = global_emd_cycle(
+            spark, v.system, v.phrase_embedder,
+            batch_df.select(*TWEETS_SCHEMA.fieldNames()),
+            self.ctrie, self.candidate_base, v.classifier,
+        )
+        out = BatchOutput(
+            batch_id, res.n_sentences, len(self.ctrie) - before,
+            res.final_mentions[MENTION_COLS],
+        )
         self.outputs.append(out)
         return out
 

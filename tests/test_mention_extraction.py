@@ -6,14 +6,12 @@ from pyspark.sql import functions as F
 
 from repro.core.ctrie import CTrie
 from repro.core.mention_extraction import (
-    EMB_SCHEMA,
     TAGGED_EMB_SCHEMA,
     _seed_keys,
     _sentence_mentions,
     collect_local_embeddings,
     extract_mentions,
-    mine_and_embed,
-    tag_mine_and_embed,
+    scan_batch,
 )
 from repro.core.syntactic import N_CATEGORIES, mention_category, one_hot
 from repro.oracle import assert_equivalent
@@ -102,8 +100,9 @@ class TestCollectLocalEmbeddings:
         mined = extract_mentions(spark, tweets_df, gold_trie)
         with pytest.raises(ValueError):
             collect_local_embeddings(spark, tweets_df, mined, aguilar, None)
-        with pytest.raises(ValueError):
-            mine_and_embed(spark, tweets_df, gold_trie, aguilar, None)
+        for tag in (False, True):
+            with pytest.raises(ValueError):
+                scan_batch(spark, tweets_df, gold_trie, aguilar, None, tag=tag)
 
     def test_deep_embeddings_match_direct_computation(
         self, spark, d1_small, aguilar, aguilar_variant
@@ -171,39 +170,63 @@ def _plan(df) -> str:
     return df._jdf.queryExecution().executedPlan().toString()
 
 
+def _scan(spark, df, trie, v, *, tag) -> tuple:
+    """``scan_batch``'s rows sorted by span and split into local and
+    mined rows, and its mining seconds and sentence count, read after
+    the action."""
+    rows, mine_seconds, n_sentences = scan_batch(
+        spark, df, trie, v.system, v.phrase_embedder, tag=tag
+    )
+    out = _by_span(rows)
+    local = out[out["local"]].reset_index(drop=True)
+    mined = out[~out["local"]].drop(columns="local").reset_index(drop=True)
+    return local, mined, mine_seconds.value, n_sentences.value
+
+
+def _assert_same_rows(got: pd.DataFrame, expect: pd.DataFrame) -> None:
+    """Equal rows, and bit-equal embeddings."""
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(
+        got.drop(columns="emb"), expect.drop(columns="emb"), check_exact=True
+    )
+    assert all(np.array_equal(a, b) for a, b in zip(got["emb"], expect["emb"]))
+
+
 class TestMineAndEmbed:
     @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
     def test_equals_split_path(self, spark, request, variant, edge_df, edge_trie):
-        """The fused scan gives the rows and the exact float32 embeddings
-        of mining followed by embedding."""
+        """Without tagging, the one-task scan gives the rows and the exact
+        float32 embeddings of mining followed by embedding (the JVM
+        one-hot on the non-deep path), and counts every sentence."""
         v = request.getfixturevalue(variant)
-        fused = _by_span(mine_and_embed(spark, edge_df, edge_trie, v.system, v.phrase_embedder))
+        local, fused, _, n_sentences = _scan(spark, edge_df, edge_trie, v, tag=False)
         mined = extract_mentions(spark, edge_df, edge_trie)
         split = _by_span(
             collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         )
-        assert len(fused) > 0
-        pd.testing.assert_frame_equal(
-            fused.drop(columns="emb"), split.drop(columns="emb"), check_exact=True
-        )
-        assert all(np.array_equal(a, b) for a, b in zip(fused["emb"], split["emb"]))
+        assert len(local) == 0 and n_sentences == 42
+        _assert_same_rows(fused, split)
         assert not fused["tweet_id"].isin([10**9, 10**9 + 1]).any()
 
     @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
     def test_no_match_is_empty_with_schema(self, spark, request, variant, edge_df):
         v = request.getfixturevalue(variant)
-        df = mine_and_embed(spark, edge_df, CTrie(["zzznotpresent"]), v.system, v.phrase_embedder)
+        df, _, _ = scan_batch(
+            spark, edge_df, CTrie(["zzznotpresent"]), v.system, v.phrase_embedder, tag=False
+        )
         assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
-            (f.name, f.dataType.simpleString()) for f in EMB_SCHEMA
+            (f.name, f.dataType.simpleString()) for f in TAGGED_EMB_SCHEMA
         ]
         out = df.toPandas()
-        assert len(out) == 0 and list(out.columns) == EMB_SCHEMA.fieldNames()
+        assert len(out) == 0 and list(out.columns) == TAGGED_EMB_SCHEMA.fieldNames()
 
     def test_deep_plan_has_no_shuffle(self, spark, aguilar_variant, edge_df, edge_trie):
         """No join or repartition follows the deep scan; the split path,
         which joins the mentions back onto their tweets, has one."""
         v = aguilar_variant
-        fused = mine_and_embed(spark, edge_df, edge_trie, v.system, v.phrase_embedder)
+        fused, _, _ = scan_batch(
+            spark, edge_df, edge_trie, v.system, v.phrase_embedder, tag=False
+        )
         mined = extract_mentions(spark, edge_df, edge_trie)
         split = collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         assert "Exchange" not in _plan(fused)
@@ -213,39 +236,33 @@ class TestMineAndEmbed:
 class TestTagMineAndEmbed:
     @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
     def test_equals_tag_then_mine_and_embed(self, spark, request, variant, edge_df, edge_trie):
-        """On one partition, the one-task pass gives Local EMD's mentions
-        and the exact rows and float32 embeddings of ``mine_and_embed``
-        on a CTrie seeded with them; the edge sentences give no row and
-        the given CTrie is left as it was."""
+        """On one partition, the tagging scan gives Local EMD's mentions
+        and the exact rows and float32 embeddings of mining and embedding
+        on a CTrie seeded with them; the edge sentences give no row, every
+        sentence is counted and the given CTrie is left as it was."""
         v = request.getfixturevalue(variant)
         n_keys = len(edge_trie)
-        rows, mine_seconds = tag_mine_and_embed(
-            spark, edge_df.coalesce(1), edge_trie, v.system, v.phrase_embedder
+        local, fused, mine_seconds, n_sentences = _scan(
+            spark, edge_df.coalesce(1), edge_trie, v, tag=True
         )
-        assert [f.name for f in rows.schema] == TAGGED_EMB_SCHEMA.fieldNames()
-        out = _by_span(rows)
-        assert len(edge_trie) == n_keys
-        assert mine_seconds.value > 0
-        local = out[out["local"]].reset_index(drop=True)
-        fused = out[~out["local"]].drop(columns="local").reset_index(drop=True)
+        assert len(edge_trie) == n_keys and n_sentences == 42 and mine_seconds > 0
         tagged = _by_span(v.system.tag(edge_df))
         pd.testing.assert_frame_equal(local[tagged.columns], tagged, check_exact=True)
         assert (local["category"] == -1).all() and (local["emb"].map(len) == 0).all()
         seeded = CTrie(edge_trie.keys() + _seed_keys(tagged))
-        split = _by_span(mine_and_embed(spark, edge_df, seeded, v.system, v.phrase_embedder))
-        assert len(fused) > 0
-        pd.testing.assert_frame_equal(
-            fused.drop(columns="emb"), split.drop(columns="emb"), check_exact=True
+        mined = extract_mentions(spark, edge_df, seeded)
+        split = _by_span(
+            collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         )
-        assert all(np.array_equal(a, b) for a, b in zip(fused["emb"], split["emb"]))
-        assert not out["tweet_id"].isin([10**9, 10**9 + 1]).any()
+        _assert_same_rows(fused, split)
+        assert not pd.concat([local, fused])["tweet_id"].isin([10**9, 10**9 + 1]).any()
 
     def test_deep_requires_phrase_embedder_before_any_job(self, spark, aguilar, edge_df):
         sc = spark.sparkContext
         sc.setJobGroup("fused-no-pe", "fused-no-pe")
         try:
             with pytest.raises(ValueError):
-                tag_mine_and_embed(spark, edge_df.coalesce(1), CTrie(), aguilar, None)
+                scan_batch(spark, edge_df.coalesce(1), CTrie(), aguilar, None, tag=True)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert sc.statusTracker().getJobIdsForGroup("fused-no-pe") == []

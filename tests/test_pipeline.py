@@ -75,7 +75,7 @@ class TestCollectMentions:
         pdf = pd.DataFrame(rows, columns=EMB_SCHEMA.fieldNames())
         shuffled = pdf.sample(frac=1.0, random_state=1)
         outs = [
-            _collect_mentions(spark.createDataFrame(p, EMB_SCHEMA).repartition(n), 4)
+            _collect_mentions(spark.createDataFrame(p, EMB_SCHEMA).repartition(n).toArrow(), 4)
             for p, n in ((pdf, 1), (shuffled, 3))
         ]
         (mined_a, embs_a), (mined_b, embs_b) = outs

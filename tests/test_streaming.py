@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.pipeline import EMDGlobalizer
 from repro.eval.metrics import score_mentions
-from repro.streaming import job
 from repro.streaming.job import (
     MENTION_COLS,
     STREAM_SCHEMA,
@@ -105,29 +104,61 @@ class TestIncrementalPipeline:
                 pd.testing.assert_frame_equal(a, b, check_exact=True)
             assert sum(len(m) for m in out1) > 0
 
-    def test_empty_batches_emit_nothing(
-        self, spark, chunker_variant, aguilar_variant, ds_small, monkeypatch
-    ):
-        """An empty micro-batch neither crashes nor changes state, before
-        and after candidates exist, and never runs a Global-EMD cycle."""
-
-        def no_cycle(*args, **kwargs):
-            raise AssertionError("an empty micro-batch ran global_emd_cycle")
-
+    def test_empty_batches_emit_nothing(self, spark, chunker_variant, aguilar_variant, ds_small):
+        """An empty micro-batch runs the cycle, emits nothing and leaves
+        the CTrie and every candidate's (sum, count), score and label as
+        they were, before and after candidates exist."""
         empty = spark.createDataFrame([], STREAM_SCHEMA)
         for variant in (chunker_variant, aguilar_variant):
             sg = StreamingGlobalizer(variant)
-            with monkeypatch.context() as m:
-                m.setattr(job, "global_emd_cycle", no_cycle)
-                sg.process_batch(spark, empty, 0)
-            assert len(sg.ctrie) == 0 and len(sg.candidate_base) == 0
-            sg.process_batch(spark, ds_small.to_spark(spark), 1)
-            before = sg.candidate_base.table()
-            with monkeypatch.context() as m:
-                m.setattr(job, "global_emd_cycle", no_cycle)
-                out = sg.process_batch(spark, empty, 2)
-            assert out.n_tweets == 0 and out.n_new_candidates == 0 and len(out.mentions) == 0
-            pd.testing.assert_frame_equal(before, sg.candidate_base.table(), check_exact=True)
+            cb = sg.candidate_base
+            for batch_id in (0, 2):
+                keys, table = sg.ctrie.keys(), cb.table()
+                sums = {k: cb.get(k).emb_sum.copy() for k in cb.keys()}
+                out = sg.process_batch(spark, empty, batch_id)
+                assert out.n_tweets == 0 and out.n_new_candidates == 0 and len(out.mentions) == 0
+                assert sg.ctrie.keys() == keys
+                pd.testing.assert_frame_equal(table, cb.table(), check_exact=True)
+                assert cb.keys() == list(sums)
+                assert all(np.array_equal(sums[k], cb.get(k).emb_sum) for k in sums)
+                if batch_id == 0:
+                    assert len(sg.ctrie) == 0 and len(cb) == 0
+                    sg.process_batch(spark, ds_small.to_spark(spark), 1)
+                    assert len(cb) > 0
+
+    @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
+    def test_micro_batch_without_local_mentions(self, spark, request, variant):
+        """A one-partition micro-batch in which Local EMD finds nothing
+        (an empty sentence, one of tweet-special tokens) runs, counts its
+        tweets and emits nothing."""
+        pdf = pd.DataFrame(
+            {"tweet_id": [1, 2], "sent_id": [0, 0], "topic": [0, 0],
+             "tokens": [[], ["#Covid", "@Andy", "http://t.co/x"]]}
+        )
+        batch_df = spark.createDataFrame(pdf, TWEETS_SCHEMA).coalesce(1)
+        sg = StreamingGlobalizer(request.getfixturevalue(variant))
+        out = sg.process_batch(spark, batch_df, 0)
+        assert out.n_tweets == 2 and len(out.mentions) == 0 and len(sg.ctrie) == 0
+
+    @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
+    def test_one_file_micro_batch_is_one_spark_job(
+        self, spark, request, variant, ds_small, tmp_path_factory
+    ):
+        """A micro-batch read from one file is read once, by the cycle's
+        one Spark job, and its tweets are counted on the way."""
+        td = tmp_path_factory.mktemp("one_job")
+        (path,) = write_stream_batches(ds_small, str(td), n_batches=1)
+        batch_df = spark.read.schema(STREAM_SCHEMA).json(path)
+        sg = StreamingGlobalizer(request.getfixturevalue(variant))
+        sc = spark.sparkContext
+        group = f"micro-batch-jobs-{variant}"
+        sc.setJobGroup(group, group)
+        try:
+            out = sg.process_batch(spark, batch_df, 0)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        assert out.n_tweets == len(ds_small.tweets) and len(out.mentions) > 0
 
     def test_multi_batch_state_grows(self, spark, aguilar_variant, ds_small, tmp_path_factory):
         td = tmp_path_factory.mktemp("stream")

@@ -37,6 +37,7 @@ from repro.core.ctrie import CTrie
 from repro.core.entity_classifier import EntityClassifier
 from repro.core.mention_extraction import (
     MAX_CANDIDATE_TOKENS,
+    MINED_SCHEMA,
     _seed_keys,
     scan_batch,
 )
@@ -102,22 +103,28 @@ def _emb_dim(system, phrase_embedder: PhraseEmbedder | None) -> int:
 def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
     """Mined mentions sorted by span, and their ``(n, d_emb)`` float32
     embeddings in the same order, from a collected Arrow table of
-    ``EMB_SCHEMA`` rows.
+    ``EMB_SCHEMA`` rows, or of ``TAGGED_EMB_SCHEMA`` rows, whose local
+    rows it leaves out.
 
     The sort makes pooling independent of partitioning and of the order
     rows arrive in. The embeddings are copied once, chunk by chunk, out
-    of Arrow's flat float buffers: no Python object per mention.
+    of Arrow's flat float buffers: no Python object per mention. A local
+    row's ``emb`` is empty, so flattening skips it without a filter that
+    would copy the embeddings.
     """
-    mined = table.drop_columns(["emb"]).to_pandas()
+    mined = table.select(MINED_SCHEMA.fieldNames()).to_pandas()
+    # masking copies the frame: only a table with local rows pays it
+    if "local" in table.column_names and pc.any(table["local"]).as_py():
+        mined = mined[~table["local"].to_numpy()]
     order = np.lexsort([mined[c].to_numpy() for c in reversed(SPAN_COLS)])
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     embs = np.empty((len(order), d_emb), dtype=np.float32)
     start = 0
     for chunk in table.column("emb").chunks:
-        rows = chunk.flatten().to_numpy().reshape(len(chunk), d_emb)
-        embs[rank[start : start + len(chunk)]] = rows
-        start += len(chunk)
+        rows = chunk.flatten().to_numpy().reshape(-1, d_emb)
+        embs[rank[start : start + len(rows)]] = rows
+        start += len(rows)
     return mined.iloc[order].reset_index(drop=True), embs
 
 
@@ -167,12 +174,14 @@ def global_emd_cycle(
     table = rows.toArrow()
     if tag:
         local_seconds = time.perf_counter() - t0 - mine_seconds.value
-        is_local = table.column("local")
-        local = table.filter(is_local).select(MENTIONS_SCHEMA.fieldNames()).to_pandas()
-        table = table.filter(pc.invert(is_local))
+        local = (
+            table.select(MENTIONS_SCHEMA.fieldNames())
+            .filter(table.column("local"))
+            .to_pandas()
+        )
         for key in _seed_keys(local):
             ctrie.insert(key)
-    mined, embs = _collect_mentions(table.drop_columns(["local"]), candidate_base.d_emb)
+    mined, embs = _collect_mentions(table, candidate_base.d_emb)
     candidate_base.add_mentions(mined["key"].to_numpy(), embs)
     if classifier is not None:
         candidate_base.classify_all(classifier)

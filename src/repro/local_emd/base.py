@@ -7,9 +7,9 @@ from their penultimate layer. Both capabilities are defined here so the
 Global EMD pipeline can treat every instantiation as a black box.
 
 Tagging runs as Spark ``mapInPandas`` over tweet partitions: the fitted
-system (numpy weights + vocab dicts) is captured in the closure, shipped
-once per executor, and tags each sentence of a partition in turn with
-``tag_sentence``.
+system (numpy weights + vocab dicts) is captured in the closure, which
+is pickled into every job and unpickled by each of its tasks, and tags
+each sentence of a partition in turn with ``tag_sentence``.
 """
 from __future__ import annotations
 

@@ -18,11 +18,20 @@ Streaming job over a file source of tweet micro-batches:
   reads the batch once and counts its tweets as it goes; a batch read
   from one file is one partition, so the whole micro-batch is one Spark
   job.
+
+Every micro-batch of every query runs on one long-lived driver thread.
+``foreachBatch`` calls back on a new py4j thread per query, and that
+thread outlives the query; glibc gives each thread that allocates a
+malloc arena of its own, which keeps a batch's working set (about 17 MB
+with Aguilar). One batch thread keeps one arena, however many queries
+run.
 """
 from __future__ import annotations
 
 import json
 import os
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +57,10 @@ STREAM_SCHEMA = T.StructType(
 
 # columns of an emitted mention
 MENTION_COLS = MENTIONS_SCHEMA.fieldNames()
+
+# the one thread every query's micro-batches run on; started by the
+# first batch
+_BATCH_THREAD = ThreadPoolExecutor(max_workers=1, thread_name_prefix="micro-batch")
 
 
 def write_stream_batches(
@@ -149,14 +162,22 @@ class StreamingGlobalizer:
     ) -> None:
         """Consume a directory of micro-batch files with a Structured
         Streaming query whose ``foreachBatch`` advances this state.
+        Each micro-batch's ``process_batch`` runs on the module's one
+        batch thread while the callback waits for it.
 
         Raises ``TimeoutError`` if the query has not consumed every file
-        after ``timeout_seconds``; the query is stopped first, so the
-        state is no longer advanced once this returns or raises.
+        after ``timeout_seconds``; the query is stopped and a batch in
+        flight finishes first, so the state is no longer advanced once
+        this returns or raises.
         """
+        # the JVM keeps the callback after the query ends: it must not
+        # keep this state alive
+        state = weakref.ref(self)
 
         def on_batch(batch_df: DataFrame, batch_id: int) -> None:
-            self.process_batch(spark, batch_df, int(batch_id))
+            _BATCH_THREAD.submit(
+                state().process_batch, spark, batch_df, int(batch_id)
+            ).result()
 
         stream = (
             spark.readStream.schema(STREAM_SCHEMA)
@@ -176,6 +197,9 @@ class StreamingGlobalizer:
             finished = not query.isActive
         if not finished:
             query.stop()
+            # the thread runs one call at a time, in order: this waits
+            # for a batch in flight
+            _BATCH_THREAD.submit(int).result()
             raise TimeoutError(
                 f"stream over {input_dir} did not finish in {timeout_seconds} s"
             )

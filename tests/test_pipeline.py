@@ -86,6 +86,30 @@ class TestCollectMentions:
         expect = np.array(pdf["emb"].tolist(), dtype=np.float32)  # pdf is in span order
         assert np.array_equal(embs_a, expect)
 
+    def test_local_rows_interleaved_with_mined_rows_are_left_out(self, spark):
+        """Local EMD's rows (``local``, empty ``emb``) among the mined rows,
+        in every chunk, change neither the mentions nor their embeddings."""
+        from repro.core.mention_extraction import EMB_SCHEMA, TAGGED_EMB_SCHEMA
+
+        rng = np.random.default_rng(8)
+        mined = [
+            (t, s, a, 1, f"k{a % 3}", f"K{a % 3}", a % 6, rng.normal(size=4).tolist(), False)
+            for t in range(6) for s in range(2) for a in range(5)
+        ]
+        local = [(t, 0, a, 2, "l", "L", -1, [], True) for t in range(6) for a in range(3)]
+        pdf = pd.DataFrame(mined + local, columns=TAGGED_EMB_SCHEMA.fieldNames())
+        shuffled = pdf.sample(frac=1.0, random_state=2)
+        tagged = spark.createDataFrame(shuffled, TAGGED_EMB_SCHEMA).repartition(3).toArrow()
+        assert len(tagged.column("emb").chunks) > 1
+        only_mined = spark.createDataFrame(
+            pdf[~pdf["local"]].drop(columns="local"), EMB_SCHEMA
+        ).toArrow()
+        (mined_a, embs_a), (mined_b, embs_b) = (
+            _collect_mentions(t, 4) for t in (tagged, only_mined)
+        )
+        pd.testing.assert_frame_equal(mined_a, mined_b)
+        assert np.array_equal(embs_a, embs_b)
+
 
 class TestFullRun:
     def test_global_beats_local_f1(self, d1_run, d1_small):

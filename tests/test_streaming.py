@@ -1,6 +1,9 @@
 """Tests for the Structured Streaming execution mode (Section III)."""
+import gc
 import glob
 import os
+import threading
+import weakref
 
 import numpy as np
 import pandas as pd
@@ -202,6 +205,31 @@ class TestIncrementalPipeline:
         sg.run_file_stream(spark, str(td))
         assert sum(o.n_tweets for o in sg.outputs) == len(ds_small.tweets)
         assert len(sg.all_output_mentions()) > 0
+
+    def test_queries_share_one_batch_thread_and_free_their_state(
+        self, spark, chunker_variant, ds_small, tmp_path_factory
+    ):
+        """Consecutive queries run every ``process_batch`` on the same
+        driver thread, and a globalizer dropped after its query returns
+        is freed: the callback the JVM keeps does not hold it."""
+        threads = []
+
+        class ThreadRecording(StreamingGlobalizer):
+            def process_batch(self, *args):
+                threads.append(threading.get_ident())
+                return super().process_batch(*args)
+
+        for k in range(2):
+            td = tmp_path_factory.mktemp(f"one_thread{k}")
+            write_stream_batches(ds_small, str(td), n_batches=2)
+            sg = ThreadRecording(chunker_variant)
+            sg.run_file_stream(spark, str(td))
+            assert len(sg.outputs) == 2
+            state = weakref.ref(sg)
+            del sg
+            gc.collect()
+            assert state() is None
+        assert len(threads) == 4 and len(set(threads)) == 1
 
     def test_file_stream_timeout_stops_query(
         self, spark, chunker_variant, ds_small, tmp_path_factory

@@ -84,10 +84,13 @@ class CandidateBase:
             rec.n_mentions += int(n)
 
     def embeddings(self, keys: list) -> np.ndarray:
-        """``(len(keys), d_emb)`` float32 global embeddings of ``keys``."""
-        return np.array(
-            [self._records[k].global_embedding for k in keys], dtype=np.float32
-        ).reshape(len(keys), self.d_emb)
+        """``(len(keys), d_emb)`` float32 global embeddings of ``keys``,
+        bit-equal to each record's ``global_embedding``, from one stacked
+        division."""
+        recs = [self._records[k] for k in keys]
+        sums = np.array([r.emb_sum for r in recs]).reshape(len(recs), self.d_emb)
+        counts = np.array([max(1, r.n_mentions) for r in recs], dtype=np.int64)
+        return (sums / counts[:, None]).astype(np.float32)
 
     def classify_all(self, classifier: EntityClassifier) -> None:
         """Re-score every candidate against its current pooled embedding

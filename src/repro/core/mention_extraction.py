@@ -15,7 +15,9 @@ a cycle. On a one-partition batch it also tags every sentence and seeds
 its own CTrie copy, embedding from the activations of the tagging pass;
 on a batch of several partitions, whose seeds a task cannot see, it
 scans with the CTrie the driver seeded. It holds each sentence's
-tokens, so no join or shuffle follows it.
+tokens, so no join or shuffle follows it. Its tasks read the fitted
+system and phrase embedder from a broadcast made by ``ship``, not from
+their closure.
 
 ``extract_mentions`` and ``collect_local_embeddings`` do the same work
 in two steps (the deep one joins the mentions back onto their tweets)
@@ -29,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -42,6 +45,7 @@ __all__ = [
     "extract_mentions",
     "collect_local_embeddings",
     "scan_batch",
+    "ship",
     "MINED_SCHEMA",
     "EMB_SCHEMA",
     "TAGGED_EMB_SCHEMA",
@@ -171,6 +175,23 @@ def _phrase_arrays(phrase_embedder) -> tuple:
     return phrase_embedder.to_arrays()
 
 
+def ship(spark: SparkSession, system, phrase_embedder=None) -> Broadcast:
+    """Broadcast ``(system, phrase_embedder)`` for ``scan_batch``'s tasks;
+    a non-deep system ships no phrase embedder.
+
+    A Python worker unpickles a broadcast once, at its first use, and
+    keeps the value, with the caches the system warms as it tags, while
+    its tasks keep reading that broadcast; a task that does not read it
+    drops it from the worker. The value is a copy taken now: a system
+    refit after it was shipped is not seen by the tasks.
+    """
+    if not system.is_deep:
+        phrase_embedder = None
+    elif phrase_embedder is None:
+        raise ValueError("deep Local EMD requires a trained PhraseEmbedder")
+    return spark.sparkContext.broadcast((system, phrase_embedder))
+
+
 def extract_mentions(
     spark: SparkSession, tweets_df: DataFrame, ctrie: CTrie
 ) -> DataFrame:
@@ -239,8 +260,7 @@ def scan_batch(
     spark: SparkSession,
     tweets_df: DataFrame,
     ctrie: CTrie,
-    system,
-    phrase_embedder=None,
+    shipped: Broadcast,
     *,
     tag: bool,
 ) -> tuple:
@@ -248,10 +268,11 @@ def scan_batch(
     every mention of every candidate, lazily: ``(rows, mine_seconds,
     n_sentences)``.
 
-    ``rows`` (``TAGGED_EMB_SCHEMA``) holds the mentions with their
-    category and local candidate embedding, yielded one input chunk of
-    sentences at a time. Deep systems compute a sentence's entity-aware
-    embeddings (bit-equal to Local EMD's, see
+    ``shipped`` is ``ship``'s broadcast of the Local EMD system and its
+    phrase embedder. ``rows`` (``TAGGED_EMB_SCHEMA``) holds the mentions
+    with their category and local candidate embedding, yielded one input
+    chunk of sentences at a time. Deep systems compute a sentence's
+    entity-aware embeddings (bit-equal to Local EMD's, see
     ``repro.local_emd.embeddings``) only if it has a mention.
 
     With ``tag``, ``rows`` also holds Local EMD's mentions (``local``
@@ -267,16 +288,13 @@ def scan_batch(
     the tasks spent seeding and mining and of the sentences they read;
     read them after the action.
     """
-    dense = _phrase_arrays(phrase_embedder) if system.is_deep else None
     sc = spark.sparkContext
     # each task unpickles its own copy to seed: cheaper than a deep copy
     bc = sc.broadcast(pickle.dumps(ctrie, pickle.HIGHEST_PROTOCOL))
     mine_seconds, n_sentences = sc.accumulator(0.0), sc.accumulator(0)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from repro.core.phrase_embedder import PhraseEmbedder
-
-        pe = None if dense is None else PhraseEmbedder.from_arrays(dense)
+        system, pe = shipped.value
         trie: CTrie = pickle.loads(bc.value)
 
         def mine(sentences) -> pd.DataFrame:

@@ -10,11 +10,13 @@ records mined from the D5 stream.
 Local EMD -> seed candidates -> CTrie -> occurrence mining and local
 candidate embeddings -> pooled global embeddings in a ``CandidateBase``
 -> entity classification -> final mention output. Mining and embedding
-run in one task, ``scan_batch``. On a one-partition input (a stream's
-micro-batch file) that task also tags and seeds, so the cycle is one
-Spark job and the DNN runs once per sentence; on an input of several
-partitions Local EMD runs as a job of its own first, because a
-partition cannot see the seeds the others find.
+run in one task, ``scan_batch``, which reads the fitted system from a
+broadcast: ``FittedVariant.shipped`` makes it once per variant and
+SparkContext. On a one-partition input (a stream's micro-batch) that
+task also tags and seeds, so the cycle is one Spark job and the DNN
+runs once per sentence; on an input of several partitions Local EMD
+runs as a job of its own first, because a partition cannot see the
+seeds the others find.
 ``EMDGlobalizer.run`` runs it from fresh state (batch mode; its local,
 mined and final mentions are Figure 6's three curves),
 ``candidate_table`` runs it without the classifier to build the
@@ -30,6 +32,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.candidate_base import CandidateBase
@@ -40,6 +43,7 @@ from repro.core.mention_extraction import (
     MINED_SCHEMA,
     _seed_keys,
     scan_batch,
+    ship,
 )
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
@@ -76,11 +80,25 @@ class FittedVariant:
     phrase_embedder: PhraseEmbedder | None = None
     pe_history: dict = field(default_factory=dict)
     clf_history: dict = field(default_factory=dict)
+    # (SparkContext, broadcast) of the last ``shipped`` call
+    _shipped: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def emb_dim(self) -> int:
         """Width of local/global candidate embeddings for this variant."""
         return _emb_dim(self.system, self.phrase_embedder)
+
+    def shipped(self, spark: SparkSession) -> Broadcast:
+        """``ship``'s broadcast of ``(system, phrase_embedder)``, made at
+        the first call on ``spark``'s SparkContext and kept: every cycle
+        of this variant, batch or stream, hands its tasks the same one,
+        so a Python worker that keeps running them unpickles the system
+        once and keeps its caches warm. A new SparkContext gets a new
+        broadcast. The system must not be refit once it is shipped."""
+        sc = spark.sparkContext
+        if self._shipped is None or self._shipped[0] is not sc:
+            self._shipped = (sc, ship(spark, self.system, self.phrase_embedder))
+        return self._shipped[1]
 
 
 @dataclass
@@ -131,11 +149,13 @@ def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
 def global_emd_cycle(
     spark: SparkSession,
     system,
-    phrase_embedder: PhraseEmbedder | None,
+    shipped: Broadcast,
     tweets_df: DataFrame,
     ctrie: CTrie,
     candidate_base: CandidateBase,
     classifier: EntityClassifier | None = None,
+    *,
+    one_task: bool = False,
 ) -> GlobalizerResult:
     """One execution cycle (Section III) over a batch of tweets.
 
@@ -147,29 +167,35 @@ def global_emd_cycle(
     entity candidates. ``ctrie`` and ``candidate_base`` are advanced in
     place: fresh ones give batch mode, kept ones a stream. An empty
     batch adds nothing and leaves every candidate's (sum, count), score
-    and label as they were.
+    and label as they were. ``shipped`` is ``system`` and its phrase
+    embedder as ``ship`` broadcasts them; the driver itself uses
+    ``system`` only to tag an input of several partitions.
 
     ``scan_batch`` mines and embeds, collected as one Arrow table; it
-    also tags if ``tweets_df`` has one partition. Reading the count runs
-    no Spark job on a materialised cache or a scan; on a frame that ends
-    in a shuffle not yet run, adaptive execution runs that shuffle. One
-    partition: the cycle is one Spark job, the driver splits off the
-    local rows and inserts their seeds into ``ctrie``, and
-    ``local_seconds`` is the job's time less the seconds its task spent
-    seeding and mining. Otherwise ``LocalEMDSystem.tag`` runs as a job
+    also tags if ``tweets_df`` has one partition. With ``one_task`` the
+    cycle coalesces ``tweets_df`` to one partition and takes that plan.
+    Otherwise it reads the partition count, which plans the query once
+    more: that runs no Spark job on a materialised cache or a scan, but
+    on a frame that ends in a shuffle not yet run, adaptive execution
+    runs that shuffle. One partition: the cycle is one Spark job, the
+    driver splits off the local rows and inserts their seeds into
+    ``ctrie``, and ``local_seconds`` is the job's time less the seconds
+    its task spent seeding and mining. Otherwise ``LocalEMDSystem.tag`` runs as a job
     first, the driver seeds ``ctrie``, and ``local_seconds`` is that
     job's time. Both plans give the same bits. ``global_seconds`` is
     the rest of the cycle; ``n_sentences`` counts the sentences read.
     """
     t0 = time.perf_counter()
-    tag = tweets_df.rdd.getNumPartitions() == 1
+    if one_task:
+        tweets_df = tweets_df.coalesce(1)
+    tag = one_task or tweets_df.rdd.getNumPartitions() == 1
     if not tag:
         local = system.tag(tweets_df).toPandas()
         local_seconds = time.perf_counter() - t0
         for key in _seed_keys(local):
             ctrie.insert(key)
     rows, mine_seconds, n_sentences = scan_batch(
-        spark, tweets_df, ctrie, system, phrase_embedder, tag=tag
+        spark, tweets_df, ctrie, shipped, tag=tag
     )
     table = rows.toArrow()
     if tag:
@@ -207,7 +233,7 @@ class EMDGlobalizer:
         """
         v = self.variant
         return global_emd_cycle(
-            spark, v.system, v.phrase_embedder, tweets_df, CTrie(),
+            spark, v.system, v.shipped(spark), tweets_df, CTrie(),
             CandidateBase(v.emb_dim), v.classifier,
         )
 
@@ -229,8 +255,9 @@ def candidate_table(
     Returns ``(embs, keys, labels, n_mentions)``.
     """
     cb = CandidateBase(_emb_dim(variant_system, phrase_embedder))
+    shipped = ship(spark, variant_system, phrase_embedder)
     cands = global_emd_cycle(
-        spark, variant_system, phrase_embedder, tweets_df, CTrie(), cb
+        spark, variant_system, shipped, tweets_df, CTrie(), cb
     ).candidates
     keys = cands["key"].tolist()
     labels = np.array([1.0 if k in gold_keys else 0.0 for k in keys])

@@ -6,10 +6,13 @@ Deep systems additionally expose token-level 'entity-aware' embeddings
 from their penultimate layer. Both capabilities are defined here so the
 Global EMD pipeline can treat every instantiation as a black box.
 
-Tagging runs as Spark ``mapInPandas`` over tweet partitions: the fitted
-system (numpy weights + vocab dicts) is captured in the closure, which
-is pickled into every job and unpickled by each of its tasks, and tags
-each sentence of a partition in turn with ``tag_sentence``.
+``LocalEMDSystem.tag`` runs tagging as Spark ``mapInPandas`` over tweet
+partitions: the fitted system (numpy weights + vocab dicts) is captured
+in the closure, which is pickled into every job and unpickled by each of
+its tasks, and tags each sentence of a partition in turn with
+``tag_sentence``. A Global EMD cycle on one partition tags inside its
+scan task instead (``repro.core.mention_extraction.scan_batch``), which
+reads the system from a broadcast made once per fitted variant.
 """
 from __future__ import annotations
 

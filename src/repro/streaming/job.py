@@ -15,9 +15,12 @@ Streaming job over a file source of tweet micro-batches:
   known so far, incremental CandidateBase (sum, count) pooling, and
   re-classification — gamma (ambiguous) candidates gain evidence as new
   mentions arrive, exactly the paper's incremental design. The cycle
-  reads the batch once and counts its tweets as it goes; a batch read
-  from one file is one partition, so the whole micro-batch is one Spark
-  job.
+  reads the batch once, in one task, and counts its tweets as it goes:
+  the batch is coalesced to one partition, so the whole micro-batch is
+  one Spark job and no planning pass runs to count its partitions. The
+  task reads the fitted system from the broadcast its variant made once
+  (``FittedVariant.shipped``), so a Python worker that keeps running a
+  stream's tasks unpickles the system once and keeps its caches warm.
 
 Every micro-batch of every query runs on one long-lived driver thread.
 ``foreachBatch`` calls back on a new py4j thread per query, and that
@@ -128,14 +131,14 @@ class StreamingGlobalizer:
     ) -> BatchOutput:
         """One ``global_emd_cycle`` (Section III steps 2–3) on a
         micro-batch, against the kept CTrie and CandidateBase. The batch
-        is read once, by the cycle, which also counts its tweets; an
-        empty micro-batch emits nothing and changes no state."""
+        is read once, by the cycle's one task, which also counts its
+        tweets; an empty micro-batch emits nothing and changes no
+        state."""
         v = self.variant
         before = len(self.ctrie)
         res = global_emd_cycle(
-            spark, v.system, v.phrase_embedder,
-            batch_df.select(*TWEETS_SCHEMA.fieldNames()),
-            self.ctrie, self.candidate_base, v.classifier,
+            spark, v.system, v.shipped(spark), batch_df.drop("ts"),
+            self.ctrie, self.candidate_base, v.classifier, one_task=True,
         )
         out = BatchOutput(
             batch_id, res.n_sentences, len(self.ctrie) - before,

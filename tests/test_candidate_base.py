@@ -49,6 +49,23 @@ class TestCandidateBase:
             assert bulk.get(k).n_mentions == loop.get(k).n_mentions
             assert np.array_equal(bulk.get(k).emb_sum, loop.get(k).emb_sum)
 
+    def test_embeddings_equal_each_records_global_embedding(self):
+        """The stacked division gives each record's own ``global_embedding``
+        bit for bit, in the order asked, a key repeated included."""
+        rng = np.random.default_rng(5)
+        cb = CandidateBase(7)
+        keys = [f"k{i}" for i in range(300)]
+        counts = rng.integers(1, 500, size=len(keys))
+        cb.add_mentions(
+            np.repeat(keys, counts), rng.normal(size=(counts.sum(), 7)).astype(np.float32)
+        )
+        asked = list(rng.permutation(keys)) + ["k3"]
+        got = cb.embeddings(asked)
+        assert got.dtype == np.float32 and got.shape == (len(asked), 7)
+        expect = np.array([cb.get(k).global_embedding for k in asked])
+        assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
+        assert cb.embeddings([]).shape == (0, 7)
+
     def test_contains_and_len(self):
         cb = CandidateBase(2)
         assert "a" not in cb and len(cb) == 0

@@ -12,7 +12,9 @@ from repro.core.mention_extraction import (
     collect_local_embeddings,
     extract_mentions,
     scan_batch,
+    ship,
 )
+from repro.core.pipeline import EMDGlobalizer, FittedVariant
 from repro.core.syntactic import N_CATEGORIES, mention_category, one_hot
 from repro.oracle import assert_equivalent
 from repro.streams.generator import TWEETS_SCHEMA
@@ -100,9 +102,8 @@ class TestCollectLocalEmbeddings:
         mined = extract_mentions(spark, tweets_df, gold_trie)
         with pytest.raises(ValueError):
             collect_local_embeddings(spark, tweets_df, mined, aguilar, None)
-        for tag in (False, True):
-            with pytest.raises(ValueError):
-                scan_batch(spark, tweets_df, gold_trie, aguilar, None, tag=tag)
+        with pytest.raises(ValueError):
+            ship(spark, aguilar, None)
 
     def test_deep_embeddings_match_direct_computation(
         self, spark, d1_small, aguilar, aguilar_variant
@@ -174,9 +175,7 @@ def _scan(spark, df, trie, v, *, tag) -> tuple:
     """``scan_batch``'s rows sorted by span and split into local and
     mined rows, and its mining seconds and sentence count, read after
     the action."""
-    rows, mine_seconds, n_sentences = scan_batch(
-        spark, df, trie, v.system, v.phrase_embedder, tag=tag
-    )
+    rows, mine_seconds, n_sentences = scan_batch(spark, df, trie, v.shipped(spark), tag=tag)
     out = _by_span(rows)
     local = out[out["local"]].reset_index(drop=True)
     mined = out[~out["local"]].drop(columns="local").reset_index(drop=True)
@@ -212,7 +211,7 @@ class TestMineAndEmbed:
     def test_no_match_is_empty_with_schema(self, spark, request, variant, edge_df):
         v = request.getfixturevalue(variant)
         df, _, _ = scan_batch(
-            spark, edge_df, CTrie(["zzznotpresent"]), v.system, v.phrase_embedder, tag=False
+            spark, edge_df, CTrie(["zzznotpresent"]), v.shipped(spark), tag=False
         )
         assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
             (f.name, f.dataType.simpleString()) for f in TAGGED_EMB_SCHEMA
@@ -224,9 +223,7 @@ class TestMineAndEmbed:
         """No join or repartition follows the deep scan; the split path,
         which joins the mentions back onto their tweets, has one."""
         v = aguilar_variant
-        fused, _, _ = scan_batch(
-            spark, edge_df, edge_trie, v.system, v.phrase_embedder, tag=False
-        )
+        fused, _, _ = scan_batch(spark, edge_df, edge_trie, v.shipped(spark), tag=False)
         mined = extract_mentions(spark, edge_df, edge_trie)
         split = collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         assert "Exchange" not in _plan(fused)
@@ -258,11 +255,15 @@ class TestTagMineAndEmbed:
         assert not pd.concat([local, fused])["tweet_id"].isin([10**9, 10**9 + 1]).any()
 
     def test_deep_requires_phrase_embedder_before_any_job(self, spark, aguilar, edge_df):
+        """Shipping a deep system without a phrase embedder raises, in a
+        cycle too, before any Spark job runs."""
         sc = spark.sparkContext
         sc.setJobGroup("fused-no-pe", "fused-no-pe")
         try:
             with pytest.raises(ValueError):
-                scan_batch(spark, edge_df.coalesce(1), CTrie(), aguilar, None, tag=True)
+                ship(spark, aguilar, None)
+            with pytest.raises(ValueError):
+                EMDGlobalizer(FittedVariant(aguilar, None)).run(spark, edge_df.coalesce(1))
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert sc.statusTracker().getJobIdsForGroup("fused-no-pe") == []

@@ -9,8 +9,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.pipeline import EMDGlobalizer
+from repro.core.candidate_base import CandidateBase
+from repro.core.ctrie import CTrie
+from repro.core.pipeline import EMDGlobalizer, FittedVariant, global_emd_cycle
 from repro.eval.metrics import score_mentions
+from repro.local_emd.np_chunker import NPChunker
 from repro.streaming.job import (
     MENTION_COLS,
     STREAM_SCHEMA,
@@ -24,6 +27,35 @@ from repro.streams.generator import TWEETS_SCHEMA
 @pytest.fixture(scope="module")
 def ds_small():
     return gen.generate("d1", scale=0.25)
+
+
+def _thirds(ds) -> list:
+    """``ds``'s tweets in three consecutive chunks."""
+    per = -(-len(ds.tweets) // 3)
+    return [ds.tweets.iloc[i : i + per] for i in range(0, len(ds.tweets), per)]
+
+
+def _assert_same_state(ctrie_a, cb_a, ctrie_b, cb_b) -> None:
+    """Equal CTrie keys and candidate tables, and bit-equal (sum, count)."""
+    assert ctrie_a.keys() == ctrie_b.keys()
+    pd.testing.assert_frame_equal(cb_a.table(), cb_b.table(), check_exact=True)
+    assert cb_a.keys() == cb_b.keys()
+    assert all(np.array_equal(cb_a.get(k).emb_sum, cb_b.get(k).emb_sum) for k in cb_a.keys())
+
+
+class UnpickleLoggingChunker(NPChunker):
+    """NP Chunker that appends the pid of each process that unpickles it
+    to the file ``log``. Module-level, because a broadcast pickles its
+    value with ``pickle``, which refers to the class by name."""
+
+    def __init__(self, log: str):
+        super().__init__()
+        self.log = log
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        with open(self.log, "a") as f:
+            f.write(f"{os.getpid()}\n")
 
 
 class TestWriteStreamBatches:
@@ -77,12 +109,11 @@ class TestIncrementalPipeline:
     def test_partitioning_of_micro_batches_changes_nothing(
         self, spark, chunker_variant, aguilar_variant, ds_small
     ):
-        """Three one-partition micro-batches (the one-job plan) and the
-        same batches split into two partitions (the two-job plan) leave
-        the same CTrie and candidate state, (sum, count) included, and
-        emit the same mentions."""
-        per = -(-len(ds_small.tweets) // 3)
-        chunks = [ds_small.tweets.iloc[i : i + per] for i in range(0, len(ds_small.tweets), per)]
+        """Three micro-batches of one partition and the same batches split
+        into two partitions leave the same CTrie and candidate state,
+        (sum, count) included, and emit the same mentions:
+        ``process_batch`` runs each as one task whatever its partitions."""
+        chunks = _thirds(ds_small)
         for variant in (chunker_variant, aguilar_variant):
             runs = []
             for n in (1, 2):
@@ -95,14 +126,34 @@ class TestIncrementalPipeline:
                 ]
                 runs.append((sg, emitted))
             (sg1, out1), (sg2, out2) = runs
-            assert sg1.ctrie.keys() == sg2.ctrie.keys()
-            pd.testing.assert_frame_equal(
-                sg1.candidate_base.table(), sg2.candidate_base.table(), check_exact=True
-            )
-            assert all(
-                np.array_equal(sg1.candidate_base.get(k).emb_sum, sg2.candidate_base.get(k).emb_sum)
-                for k in sg1.candidate_base.keys()
-            )
+            _assert_same_state(sg1.ctrie, sg1.candidate_base, sg2.ctrie, sg2.candidate_base)
+            for a, b in zip(out1, out2):
+                pd.testing.assert_frame_equal(a, b, check_exact=True)
+            assert sum(len(m) for m in out1) > 0
+
+    def test_both_cycle_plans_agree_under_kept_state(
+        self, spark, chunker_variant, aguilar_variant, ds_small
+    ):
+        """The one-job plan (one partition) and the two-job plan (two
+        partitions) of ``global_emd_cycle``, run on three chunks against
+        a kept CTrie and CandidateBase, leave the same state, (sum,
+        count) included, and give each chunk the same final mentions."""
+        chunks = _thirds(ds_small)
+        for variant in (chunker_variant, aguilar_variant):
+            runs = []
+            for n in (1, 2):
+                ctrie, cb = CTrie(), CandidateBase(variant.emb_dim)
+                finals = [
+                    global_emd_cycle(
+                        spark, variant.system, variant.shipped(spark),
+                        spark.createDataFrame(c, TWEETS_SCHEMA).repartition(n),
+                        ctrie, cb, variant.classifier,
+                    ).final_mentions
+                    for c in chunks
+                ]
+                runs.append((ctrie, cb, finals))
+            (ctrie1, cb1, out1), (ctrie2, cb2, out2) = runs
+            _assert_same_state(ctrie1, cb1, ctrie2, cb2)
             for a, b in zip(out1, out2):
                 pd.testing.assert_frame_equal(a, b, check_exact=True)
             assert sum(len(m) for m in out1) > 0
@@ -230,6 +281,28 @@ class TestIncrementalPipeline:
             gc.collect()
             assert state() is None
         assert len(threads) == 4 and len(set(threads)) == 1
+
+    def test_system_unpickled_at_most_once_per_worker(
+        self, spark, chunker_variant, ds_small, tmp_path
+    ):
+        """A variant ships its system once: a batch cycle and two streams
+        of four one-file micro-batches hand their tasks the same
+        broadcast, and no Python worker unpickles the system twice."""
+        log = tmp_path / "unpickled-by"
+        variant = FittedVariant(UnpickleLoggingChunker(str(log)), chunker_variant.classifier)
+        shipped = []
+        ship = variant.shipped
+        variant.shipped = lambda s: shipped.append(ship(s)) or shipped[-1]
+        EMDGlobalizer(variant).run(spark, ds_small.to_spark(spark).coalesce(1))
+        for k in range(2):
+            td = tmp_path / f"stream{k}"
+            write_stream_batches(ds_small, str(td), n_batches=4)
+            sg = StreamingGlobalizer(variant)
+            sg.run_file_stream(spark, str(td))
+            assert len(sg.outputs) == 4
+        assert len(shipped) == 9 and all(b is shipped[0] for b in shipped)
+        pids = log.read_text().split()
+        assert len(pids) > 0 and len(pids) == len(set(pids))
 
     def test_file_stream_timeout_stops_query(
         self, spark, chunker_variant, ds_small, tmp_path_factory

@@ -41,7 +41,7 @@ import pandas as pd
 import pyspark.sql.types as T
 from pyspark.sql import DataFrame
 
-from repro.local_emd.base import surface_features
+from repro.local_emd.base import Sentences, surface_features
 from repro.local_emd.deep import BioTagger
 from repro.local_emd.embeddings import EmbeddingBank
 
@@ -62,16 +62,16 @@ def token_sums(bank: EmbeddingBank, tweets: pd.DataFrame) -> pd.DataFrame:
     occurrence count (``TOKEN_SUMS_SCHEMA`` columns)."""
     sums: dict = {}
     counts: dict = {}
-    for r in tweets.itertuples():
-        toks = [t.lower() for t in r.tokens]
-        emb = bank.contextual(toks, int(r.tweet_id), int(r.sent_id))
-        for t, e in zip(toks, emb):
-            if t in sums:
-                sums[t] += e
-                counts[t] += 1
-            else:
-                sums[t] = e.astype(np.float64).copy()
-                counts[t] = 1
+    sents = Sentences.from_frame(tweets)
+    toks = sents.lowered
+    embs = bank.contextual_chunk(toks, sents.offsets, sents.tweet_ids, sents.sent_ids)
+    for t, e in zip(toks, embs):
+        if t in sums:
+            sums[t] += e
+            counts[t] += 1
+        else:
+            sums[t] = e.astype(np.float64).copy()
+            counts[t] = 1
     return pd.DataFrame(
         {
             "token": list(sums),
@@ -100,7 +100,7 @@ def memory_from_sums(partials: pd.DataFrame) -> dict:
 class HireNER(BioTagger):
     """Document-level EMD with token-type global memory features.
 
-    ``tag_sentence`` reads the global features from ``memory``, which
+    ``_features`` reads the global features from ``memory``, which
     holds every token of the corpus it was built from: the training
     corpus on the fitted tagger, the dataset on the copy ``tag`` makes.
     """
@@ -112,12 +112,13 @@ class HireNER(BioTagger):
         self.bank = bank
         self.memory: dict = {}
 
-    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
-        low = [t.lower() for t in tokens]
-        emb = self.bank.contextual(low, tweet_id, sent_id)
-        glob = np.stack([self.memory[t] for t in low]) if tokens else emb
+    def _features(self, sents: Sentences) -> np.ndarray:
+        low = sents.lowered
+        emb = self.bank.contextual_chunk(low, sents.offsets, sents.tweet_ids, sents.sent_ids)
+        glob = np.stack([self.memory[t] for t in low]) if low else emb
         return np.concatenate(
-            [emb, surface_features(tokens), self._gazetteer(tokens), glob], axis=1
+            [emb, surface_features(sents.tokens, sents.offsets), self._gazetteer(sents), glob],
+            axis=1,
         )
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:

@@ -10,14 +10,21 @@ systems the sentence's entity-aware token embeddings pooled over the
 mention span and pushed through the Entity Phrase Embedder's dense
 layer (Eq. 1–2).
 
-``scan_batch`` is the one ``mapInPandas`` task that does this work in
-a cycle. On a one-partition batch it also tags every sentence and seeds
-its own CTrie copy, embedding from the activations of the tagging pass;
-on a batch of several partitions, whose seeds a task cannot see, it
-scans with the CTrie the driver seeded. It holds each sentence's
-tokens, so no join or shuffle follows it. Its tasks read the fitted
-system and phrase embedder from a broadcast made by ``ship``, not from
-their closure.
+``scan_batch`` is the one ``mapInArrow`` task that does this work in
+a cycle. It takes each input record batch as one chunk of sentences
+(``Sentences``): the features of all its tokens are built with array
+operations, the tagger runs one forward pass per sentence, and every
+mention of the chunk is pooled and projected at once
+(``PhraseEmbedder.embed_spans``), with the bits of doing each sentence
+and each mention alone. Its output is built as Arrow, the embeddings
+from one flat float32 buffer per chunk. On a one-partition batch the
+task also tags every sentence and seeds its own CTrie copy, embedding
+from the activations of the tagging pass; on a batch of several
+partitions, whose seeds a task cannot see, it scans with the CTrie the
+driver seeded after a tagging job of its own (``tag_shipped``). It
+holds each sentence's tokens, so no join or shuffle follows it. Its
+tasks, and those of ``tag_shipped``, read the fitted system and phrase
+embedder from a broadcast made by ``ship``, not from their closure.
 
 ``extract_mentions`` and ``collect_local_embeddings`` do the same work
 in two steps (the deep one joins the mentions back onto their tweets)
@@ -31,14 +38,21 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.core import syntactic
 from repro.core.ctrie import CTrie
-from repro.local_emd.base import MENTIONS_SCHEMA, mentions_frame
+from repro.local_emd.base import (
+    MENTIONS_SCHEMA,
+    Sentences,
+    mention_columns,
+    tag_batches,
+)
 
 __all__ = [
     "MAX_CANDIDATE_TOKENS",
@@ -46,6 +60,7 @@ __all__ = [
     "collect_local_embeddings",
     "scan_batch",
     "ship",
+    "tag_shipped",
     "MINED_SCHEMA",
     "EMB_SCHEMA",
     "TAGGED_EMB_SCHEMA",
@@ -70,9 +85,10 @@ TAGGED_EMB_SCHEMA = T.StructType(
 )
 
 
-def _seed_keys(local_mentions: pd.DataFrame) -> list:
-    """The sorted distinct keys of Local EMD's mentions that fit the
-    candidate window: the keys a cycle inserts into its CTrie."""
+def _seed_keys(local_mentions) -> list:
+    """The sorted distinct keys of Local EMD's mentions (a frame or
+    ``mention_columns``) that fit the candidate window: the keys a cycle
+    inserts into its CTrie."""
     keys = sorted(set(local_mentions["key"]))
     return [k for k in keys if 1 <= len(k.split(" ")) <= MAX_CANDIDATE_TOKENS]
 
@@ -96,66 +112,74 @@ def _sentence_mentions(trie: CTrie, tweet_id, sent_id, toks: list) -> list:
     ]
 
 
-def _span_embeddings(pe, ea, spans: list) -> list:
-    """The local candidate embedding (Eq. 1–2) of each ``(start, length)``
-    span of one sentence whose entity-aware token embeddings are ``ea``,
-    as float32 arrays."""
-    return [pe.embed_tokens(ea[s : s + n]) for s, n in spans]
-
-
-def _recomputed_span_embeddings(
-    system, pe, toks: list, tweet_id, sent_id, spans: list
-) -> list:
-    """``_span_embeddings`` with the sentence's entity-aware embeddings
-    recomputed, once and only if there is a span."""
-    if not spans:
-        return []
-    ea = system.entity_aware_embeddings(toks, int(tweet_id), int(sent_id))
-    return _span_embeddings(pe, ea, spans)
+def _chunk_mentions(trie: CTrie, sents: Sentences) -> tuple:
+    """``_sentence_mentions`` of every sentence of a chunk: the rows, and
+    the index of each row's sentence in the chunk."""
+    rows, where = [], []
+    tweet_ids, sent_ids = sents.tweet_ids.tolist(), sents.sent_ids.tolist()
+    for i in range(len(sents)):
+        found = _sentence_mentions(trie, tweet_ids[i], sent_ids[i], sents.sentence(i))
+        rows += found
+        where += [i] * len(found)
+    return rows, np.array(where, dtype=np.intp)
 
 
 # row ``c`` is ``syntactic.one_hot(c)``
 _ONE_HOT = np.eye(syntactic.N_CATEGORIES, dtype=np.float32)
 
-
-def _tagged_sentences(system, tweets: pd.DataFrame) -> tuple:
-    """Local EMD's mention rows of a pandas chunk of tweets, and its
-    sentences as ``(tweet_id, sent_id, tokens, activations)`` with the
-    activations of the same forward pass (``tag_and_embed``)."""
-    sentences = []
-
-    def tag(toks, tweet_id, sent_id):
-        spans, ea = system.tag_and_embed(toks, tweet_id, sent_id)
-        sentences.append((tweet_id, sent_id, toks, ea))
-        return spans
-
-    return mentions_frame(tweets, tag), sentences
+_TAGGED_EMB_ARROW = to_arrow_schema(TAGGED_EMB_SCHEMA)
 
 
-def _mined_frame(trie: CTrie, system, pe, sentences) -> pd.DataFrame:
+def _tagged_emb_batch(columns: list, embs: np.ndarray, local: bool) -> pa.RecordBatch:
+    """A ``TAGGED_EMB_SCHEMA`` record batch of the ``MINED_SCHEMA``
+    ``columns`` and the float32 embeddings ``embs``, one row each; its
+    ``emb`` column is built on ``embs``' buffer."""
+    fields = list(_TAGGED_EMB_ARROW)
+    n, d = embs.shape
+    emb = pa.ListArray.from_arrays(
+        pa.array(np.arange(n + 1, dtype=np.int32) * d),
+        pa.array(np.ascontiguousarray(embs, dtype=np.float32).reshape(-1)),
+        type=fields[-2].type,
+    )
+    arrays = [pa.array(c, f.type) for c, f in zip(columns, fields)]
+    return pa.record_batch(
+        arrays + [emb, pa.array(np.full(n, local))], schema=_TAGGED_EMB_ARROW
+    )
+
+
+def _local_batch(local: dict) -> pa.RecordBatch:
+    """Local EMD's ``mention_columns`` as ``TAGGED_EMB_SCHEMA`` rows
+    (``local`` true, category -1, empty ``emb``)."""
+    n = len(local["key"])
+    columns = [local[c] for c in MENTIONS_SCHEMA.fieldNames()] + [np.full(n, -1)]
+    return _tagged_emb_batch(columns, np.empty((n, 0), dtype=np.float32), True)
+
+
+def _mined_batch(trie: CTrie, system, pe, sents: Sentences, acts) -> pa.RecordBatch:
     """``TAGGED_EMB_SCHEMA`` rows (``local`` false) of every mention of a
-    ``trie`` candidate in ``sentences``, ``(tweet_id, sent_id, tokens,
-    activations)`` tuples.
+    ``trie`` candidate in the chunk ``sents``.
 
-    With a phrase embedder ``pe`` (deep systems) each mention is embedded
-    from its sentence's activations, recomputed if they are ``None``.
-    Otherwise the embedding is the one-hot of the mention's category.
+    With a phrase embedder ``pe`` (deep systems) the mentions are
+    embedded together (``PhraseEmbedder.embed_spans``) from the chunk's
+    activations ``acts``; if those are ``None``, the activations of the
+    sentences with a mention are computed, as one chunk. Otherwise each
+    embedding is the one-hot of the mention's category.
     """
-    rows, embs = [], []
-    for tweet_id, sent_id, toks, ea in sentences:
-        mentions = _sentence_mentions(trie, tweet_id, sent_id, toks)
-        rows += mentions
-        if pe is not None:
-            spans = [(m[2], m[3]) for m in mentions]
-            embs += (
-                _recomputed_span_embeddings(system, pe, toks, tweet_id, sent_id, spans)
-                if ea is None
-                else _span_embeddings(pe, ea, spans)
-            )
-    mined = pd.DataFrame(rows, columns=MINED_SCHEMA.fieldNames())
+    rows, where = _chunk_mentions(trie, sents)
+    columns = list(zip(*rows)) if rows else [[]] * len(MINED_SCHEMA.fields)
     if pe is None:
-        embs = list(_ONE_HOT[mined["category"].to_numpy(dtype=np.intp)])
-    return mined.assign(emb=pd.Series(embs, index=mined.index, dtype=object), local=False)
+        embs = _ONE_HOT[np.array(columns[6], dtype=np.intp)]
+    elif not rows:
+        embs = np.empty((0, pe.d_out), dtype=np.float32)
+    else:
+        if acts is None:
+            matched = np.unique(where)
+            sub = sents.take(matched)
+            acts, first = system.activations(sub), sub.offsets[np.searchsorted(matched, where)]
+        else:
+            first = sents.offsets[where]
+        embs = pe.embed_spans(acts, first + np.array(columns[2]), columns[3])
+    return _tagged_emb_batch(columns, embs, False)
 
 
 def _with_one_hot(mined_df: DataFrame) -> DataFrame:
@@ -176,8 +200,9 @@ def _phrase_arrays(phrase_embedder) -> tuple:
 
 
 def ship(spark: SparkSession, system, phrase_embedder=None) -> Broadcast:
-    """Broadcast ``(system, phrase_embedder)`` for ``scan_batch``'s tasks;
-    a non-deep system ships no phrase embedder.
+    """Broadcast ``(system, phrase_embedder)`` for the tasks of
+    ``scan_batch`` and ``tag_shipped``; a non-deep system ships no phrase
+    embedder.
 
     A Python worker unpickles a broadcast once, at its first use, and
     keeps the value, with the caches the system warms as it tags, while
@@ -240,20 +265,29 @@ def collect_local_embeddings(
 
         pe = PhraseEmbedder.from_arrays(dense)
         for pdf in batches:
-            embs = {}
-            for (tweet_id, sent_id), g in pdf.groupby(["tweet_id", "sent_id"], sort=False):
-                spans = list(zip(g["start"], g["length"]))
-                sent = list(g["tokens"].iat[0])
-                embs.update(
-                    zip(
-                        g.index,
-                        _recomputed_span_embeddings(system, pe, sent, tweet_id, sent_id, spans),
-                    )
-                )
-            pdf["emb"] = pd.Series(embs, index=pdf.index, dtype="object")
+            keys = list(zip(pdf["tweet_id"], pdf["sent_id"]))
+            tokens: dict = {}
+            for k, toks in zip(keys, pdf["tokens"]):
+                tokens.setdefault(k, toks)
+            sents = Sentences.of(tokens.values(), [k[0] for k in tokens], [k[1] for k in tokens])
+            index = {k: i for i, k in enumerate(tokens)}
+            first = sents.offsets[[index[k] for k in keys]]
+            embs = pe.embed_spans(
+                system.activations(sents), first + pdf["start"].to_numpy(), pdf["length"]
+            )
+            pdf["emb"] = pd.Series(list(embs), index=pdf.index, dtype="object")
             yield pdf[EMB_SCHEMA.fieldNames()]
 
     return joined.mapInPandas(run, schema=EMB_SCHEMA)
+
+
+def tag_shipped(tweets_df: DataFrame, shipped: Broadcast) -> DataFrame:
+    """``LocalEMDSystem.tag`` of the system ``ship`` broadcast: one
+    ``tag_batches`` task per partition that reads the system from
+    ``shipped``, so a worker keeps the value its scan tasks read."""
+    return tweets_df.mapInArrow(
+        lambda batches: tag_batches(shipped.value[0], batches), schema=MENTIONS_SCHEMA
+    )
 
 
 def scan_batch(
@@ -264,20 +298,21 @@ def scan_batch(
     *,
     tag: bool,
 ) -> tuple:
-    """One ``mapInPandas`` pass over ``tweets_df`` that mines and embeds
+    """One ``mapInArrow`` pass over ``tweets_df`` that mines and embeds
     every mention of every candidate, lazily: ``(rows, mine_seconds,
-    n_sentences)``.
+    n_sentences, trie)``.
 
     ``shipped`` is ``ship``'s broadcast of the Local EMD system and its
     phrase embedder. ``rows`` (``TAGGED_EMB_SCHEMA``) holds the mentions
     with their category and local candidate embedding, yielded one input
-    chunk of sentences at a time. Deep systems compute a sentence's
-    entity-aware embeddings (bit-equal to Local EMD's, see
+    record batch of sentences at a time, each built and embedded as one
+    chunk (``Sentences``) with array operations. Deep systems compute a
+    sentence's entity-aware embeddings (bit-equal to Local EMD's, see
     ``repro.local_emd.embeddings``) only if it has a mention.
 
     With ``tag``, ``rows`` also holds Local EMD's mentions (``local``
-    true): each task tags its sentences with one forward pass each
-    (``tag_and_embed``), seeds its own copy of ``ctrie`` with their
+    true): each task tags its chunks (``tag_chunk``, one forward pass
+    per sentence), seeds its own copy of ``ctrie`` with their
     ``_seed_keys`` (a broadcast value is shared by a worker's tasks) and
     mines with it, embedding from the activations it kept (about 1.4 MB
     per 250 tweets with Aguilar). A task sees only its own seeds, so
@@ -286,40 +321,45 @@ def scan_batch(
 
     ``mine_seconds`` and ``n_sentences`` are accumulators of the seconds
     the tasks spent seeding and mining and of the sentences they read;
-    read them after the action.
+    read them after the action. ``trie`` is the broadcast of the pickled
+    CTrie that the tasks read: destroy it after the action, or its file
+    stays in the driver's temporary directory until the SparkContext
+    stops.
     """
     sc = spark.sparkContext
     # each task unpickles its own copy to seed: cheaper than a deep copy
     bc = sc.broadcast(pickle.dumps(ctrie, pickle.HIGHEST_PROTOCOL))
     mine_seconds, n_sentences = sc.accumulator(0.0), sc.accumulator(0)
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         system, pe = shipped.value
         trie: CTrie = pickle.loads(bc.value)
 
-        def mine(sentences) -> pd.DataFrame:
+        def mine(sents: Sentences, acts) -> pa.RecordBatch:
             t0 = time.perf_counter()
-            mined = _mined_frame(trie, system, pe, sentences)
+            mined = _mined_batch(trie, system, pe, sents, acts)
             mine_seconds.add(time.perf_counter() - t0)
             return mined
 
         held, seeds = [], set()
-        for pdf in batches:
-            n_sentences.add(len(pdf))
+        for batch in batches:
+            n_sentences.add(batch.num_rows)
+            sents = Sentences.from_arrow(batch)
             if tag:
-                local, sentences = _tagged_sentences(system, pdf)
-                held.append(sentences)
+                spans, acts = system.tag_chunk(sents)
+                local = mention_columns(sents, spans)
+                held.append((sents, acts))
                 seeds.update(_seed_keys(local))
-                if len(local):  # an empty frame's ``emb`` would not convert to Arrow
-                    yield local.assign(category=-1, emb=[[]] * len(local), local=True)
+                if local["key"]:
+                    yield _local_batch(local)
             else:
-                ids = zip(pdf["tweet_id"], pdf["sent_id"], pdf["tokens"])
-                yield mine((t, s, list(toks), None) for t, s, toks in ids)
+                yield mine(sents, None)
         t0 = time.perf_counter()
         for key in sorted(seeds):
             trie.insert(key)
         mine_seconds.add(time.perf_counter() - t0)
-        for sentences in held:
-            yield mine(sentences)
+        for sents, acts in held:
+            yield mine(sents, acts)
 
-    return tweets_df.mapInPandas(run, schema=TAGGED_EMB_SCHEMA), mine_seconds, n_sentences
+    rows = tweets_df.mapInArrow(run, schema=TAGGED_EMB_SCHEMA)
+    return rows, mine_seconds, n_sentences, bc

@@ -13,14 +13,37 @@ pair's normalized STS score with MSE loss and Adam. The underlying deep
 EMD network stays **frozen** — only the dense layer learns — so the
 pooled inputs can be precomputed once and training touches only
 ``(W_ff, b_ff)``.
+
+Mentions are embedded many at a time (``PhraseEmbedder.embed_spans``),
+with the bits of embedding each one alone: the mean is a sum of rows in
+token order, and Eq. 2 is a product of its own for every mention.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.local_emd.base import CORPUS_CHUNK, Sentences
 from repro.nn.mlp import Dense, MLP, train_early_stopping
 
-__all__ = ["PhraseEmbedder", "train_phrase_embedder"]
+__all__ = ["PhraseEmbedder", "pool_spans", "train_phrase_embedder"]
+
+
+def pool_spans(token_embs: np.ndarray, starts, lengths) -> np.ndarray:
+    """Eq. 1 for many spans: row ``k`` is the mean of
+    ``token_embs[starts[k]:starts[k] + lengths[k]]``.
+
+    Computed as ``ndarray.mean(axis=0)`` computes one span's mean: the
+    rows are added in token order onto zeros, in ``token_embs``' dtype,
+    and the sum is divided by the length in that dtype.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = np.zeros((len(starts), token_embs.shape[1]), dtype=token_embs.dtype)
+    for j in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > j)
+        out[rows] += token_embs[starts[rows] + j]
+    out /= lengths.astype(out.dtype)[:, None]
+    return out
 
 
 class PhraseEmbedder:
@@ -45,9 +68,22 @@ class PhraseEmbedder:
         """Eq. 2 on an already-pooled vector (or batch thereof)."""
         return pooled @ self.W + self.b
 
+    def embed_spans(self, token_embs: np.ndarray, starts, lengths) -> np.ndarray:
+        """Eq. 1 + Eq. 2 for the spans ``(starts[k], lengths[k])`` of the
+        token embeddings ``(n, d)``: ``(n_spans, d_out)`` float32.
+
+        Eq. 2 multiplies each pooled row by ``W`` in a product of its own
+        (``np.matmul`` over a stack of one-row matrices): one product
+        over all rows would round differently from ``pooled @ W`` for a
+        single mention.
+        """
+        pooled = pool_spans(token_embs, starts, lengths)
+        return (np.matmul(pooled[:, None, :], self.W)[:, 0, :] + self.b).astype(np.float32)
+
     def embed_tokens(self, token_embs: np.ndarray) -> np.ndarray:
-        """Eq. 1 + Eq. 2 for one mention's token embeddings ``(n, d)``."""
-        return self.embed_pooled(token_embs.mean(axis=0)).astype(np.float32)
+        """Eq. 1 + Eq. 2 for one mention's token embeddings ``(n, d)``:
+        ``embed_spans`` of one span."""
+        return self.embed_spans(token_embs, [0], [len(token_embs)])[0]
 
     # picklable form for Spark closures
     def to_arrays(self) -> tuple:
@@ -124,14 +160,20 @@ def train_phrase_embedder(
 
 
 def pooled_sentence_embeddings(system, sentences: list, id_offset: int) -> np.ndarray:
-    """Frozen-DNN mean-pooled embeddings for a list of token tuples.
+    """Frozen-DNN mean-pooled embeddings for a list of token tuples,
+    ``CORPUS_CHUNK`` sentences at a time (``pool_spans`` of each
+    chunk's activations).
 
     STS sentences get synthetic ``(tweet_id, sent_id)`` coordinates from
     ``id_offset`` so contextual noise is deterministic but distinct from
     corpus tweets.
     """
     out = np.empty((len(sentences), system.embedding_dim), dtype=np.float32)
-    for i, toks in enumerate(sentences):
-        emb = system.entity_aware_embeddings(list(toks), id_offset + i, 9999)
-        out[i] = emb.mean(axis=0)
+    for i in range(0, len(sentences), CORPUS_CHUNK):
+        part = sentences[i : i + CORPUS_CHUNK]
+        ids = id_offset + np.arange(i, i + len(part))
+        sents = Sentences.of(part, ids, np.full(len(part), 9999))
+        out[i : i + len(part)] = pool_spans(
+            system.activations(sents), sents.offsets[:-1], sents.lengths
+        )
     return out

@@ -15,8 +15,8 @@ broadcast: ``FittedVariant.shipped`` makes it once per variant and
 SparkContext. On a one-partition input (a stream's micro-batch) that
 task also tags and seeds, so the cycle is one Spark job and the DNN
 runs once per sentence; on an input of several partitions Local EMD
-runs as a job of its own first, because a partition cannot see the
-seeds the others find.
+runs as a job of its own first (reading the same broadcast), because a
+partition cannot see the seeds the others find.
 ``EMDGlobalizer.run`` runs it from fresh state (batch mode; its local,
 mined and final mentions are Figure 6's three curves),
 ``candidate_table`` runs it without the classifier to build the
@@ -44,6 +44,7 @@ from repro.core.mention_extraction import (
     _seed_keys,
     scan_batch,
     ship,
+    tag_shipped,
 )
 from repro.core.phrase_embedder import (
     PhraseEmbedder,
@@ -168,8 +169,8 @@ def global_emd_cycle(
     place: fresh ones give batch mode, kept ones a stream. An empty
     batch adds nothing and leaves every candidate's (sum, count), score
     and label as they were. ``shipped`` is ``system`` and its phrase
-    embedder as ``ship`` broadcasts them; the driver itself uses
-    ``system`` only to tag an input of several partitions.
+    embedder as ``ship`` broadcasts them; every job of the cycle reads
+    the system from it, so the driver does not use ``system``.
 
     ``scan_batch`` mines and embeds, collected as one Arrow table; it
     also tags if ``tweets_df`` has one partition. With ``one_task`` the
@@ -180,24 +181,29 @@ def global_emd_cycle(
     runs that shuffle. One partition: the cycle is one Spark job, the
     driver splits off the local rows and inserts their seeds into
     ``ctrie``, and ``local_seconds`` is the job's time less the seconds
-    its task spent seeding and mining. Otherwise ``LocalEMDSystem.tag`` runs as a job
-    first, the driver seeds ``ctrie``, and ``local_seconds`` is that
-    job's time. Both plans give the same bits. ``global_seconds`` is
-    the rest of the cycle; ``n_sentences`` counts the sentences read.
+    its task spent seeding and mining. Otherwise ``tag_shipped`` runs as
+    a job first, the driver seeds ``ctrie``, and ``local_seconds`` is
+    that job's time. Both plans give the same bits. ``global_seconds``
+    is the rest of the cycle; ``n_sentences`` counts the sentences read.
+    The broadcast of the CTrie that the scan read is destroyed once its
+    job has run.
     """
     t0 = time.perf_counter()
     if one_task:
         tweets_df = tweets_df.coalesce(1)
     tag = one_task or tweets_df.rdd.getNumPartitions() == 1
     if not tag:
-        local = system.tag(tweets_df).toPandas()
+        local = tag_shipped(tweets_df, shipped).toPandas()
         local_seconds = time.perf_counter() - t0
         for key in _seed_keys(local):
             ctrie.insert(key)
-    rows, mine_seconds, n_sentences = scan_batch(
+    rows, mine_seconds, n_sentences, trie = scan_batch(
         spark, tweets_df, ctrie, shipped, tag=tag
     )
-    table = rows.toArrow()
+    try:
+        table = rows.toArrow()
+    finally:
+        trie.destroy()
     if tag:
         local_seconds = time.perf_counter() - t0 - mine_seconds.value
         local = (

@@ -6,13 +6,18 @@ shared core: gold spans to a stacked ``(X, Y)`` training set
 (``bio_training_set``), an MLP whose input width is the features' width,
 three-way (O/B/I) sigmoid-head training through the one early-stopping
 Adam loop (``train_bio_tagger``) on the WNUT17-train stand-in corpus,
-argmax BIO decoding (``decode_bio``) and the gazetteer lexical features
+argmax BIO decoding and the gazetteer lexical features
 (``gazetteer_features``). ``DeepEMDSystem`` adds a contextual-embedding
 input and exposes its penultimate layer as the 'entity-aware' token
 embedding consumed by Global EMD (Section IV: "the output of the neural
 network's final layer before token-level classification"); one forward
-pass gives a sentence's spans and those embeddings together
-(``tag_and_embed``).
+pass gives a chunk's spans and those embeddings together
+(``tag_chunk``).
+
+Features are built for a whole chunk of sentences (``Sentences``) with
+array operations; the MLP still multiplies each sentence by its weights
+in a product of its own (``forward_segments``), so every bit equals a
+forward pass over that sentence alone.
 """
 from __future__ import annotations
 
@@ -20,18 +25,19 @@ import numpy as np
 import pandas as pd
 
 from repro.local_emd.base import (
+    CORPUS_CHUNK,
     LocalEMDSystem,
-    bio_to_spans,
+    Sentences,
+    bio_spans,
     spans_to_bio,
     surface_features,
 )
 from repro.local_emd.embeddings import EmbeddingBank
-from repro.nn.mlp import MLP, bce_grad, bce_loss, train_early_stopping
+from repro.nn.mlp import MLP, bce_grad, bce_loss, forward_segments, train_early_stopping
 
 __all__ = [
     "train_bio_tagger",
     "bio_training_set",
-    "decode_bio",
     "gazetteer_features",
     "BioTagger",
     "DeepEMDSystem",
@@ -72,50 +78,50 @@ def train_bio_tagger(
 
 
 def bio_training_set(tweets: pd.DataFrame, gold: pd.DataFrame, features) -> tuple:
-    """Stack every training sentence's token features and one-hot gold
-    O/B/I tags into ``(X, Y)`` float32 arrays.
+    """Every training token's features and one-hot gold O/B/I tag, as
+    ``(X, Y)`` float32 arrays in sentence order.
 
-    ``features(tokens, tweet_id, sent_id)`` gives one sentence's
-    ``(n_tokens, n_features)`` matrix.
+    ``features(sents)`` gives the ``(n_tokens, n_features)`` matrix of
+    a ``Sentences`` chunk; it is called on chunks of ``CORPUS_CHUNK``
+    sentences.
     """
     gold_by_sent: dict = {}
     for r in gold.itertuples():
         gold_by_sent.setdefault((r.tweet_id, r.sent_id), []).append((r.start, r.length))
-    Xs, Ys = [], []
-    for r in tweets.itertuples():
-        toks = list(r.tokens)
-        Xs.append(features(toks, int(r.tweet_id), int(r.sent_id)))
-        tags = spans_to_bio(len(toks), gold_by_sent.get((r.tweet_id, r.sent_id), []))
-        Ys.append(np.eye(3, dtype=np.float32)[tags])
-    return np.concatenate(Xs).astype(np.float32), np.concatenate(Ys)
-
-
-def decode_bio(probs: np.ndarray) -> list:
-    """``(start, length)`` spans of the most probable O/B/I tag per token
-    of an ``(n_tokens, 3)`` output."""
-    return bio_to_spans(np.argmax(probs, axis=1))
+    tags = np.concatenate(
+        [
+            spans_to_bio(len(toks), gold_by_sent.get(k, []))
+            for toks, k in zip(tweets["tokens"], zip(tweets["tweet_id"], tweets["sent_id"]))
+        ]
+    )
+    X = np.concatenate(
+        [
+            features(Sentences.from_frame(tweets.iloc[i : i + CORPUS_CHUNK]))
+            for i in range(0, len(tweets), CORPUS_CHUNK)
+        ]
+    )
+    return X.astype(np.float32), np.eye(3, dtype=np.float32)[tags]
 
 
 def gazetteer_features(tokens: list, unigram_keys: set, all_tokens: set) -> np.ndarray:
     """Two lexical features per token: exact unigram-gazetteer hit, and
     membership in any gazetteer entry's token set (the paper's Aguilar
     instantiation encodes gazetteer hits as a small lexical vector)."""
-    f = np.zeros((len(tokens), 2), dtype=np.float32)
-    for i, t in enumerate(tokens):
-        low = t.lower()
-        f[i, 0] = low in unigram_keys
-        f[i, 1] = low in all_tokens
+    low = [t.lower() for t in tokens]
+    f = np.empty((len(low), 2), dtype=np.float32)
+    f[:, 0] = np.fromiter(map(unigram_keys.__contains__, low), bool, len(low))
+    f[:, 1] = np.fromiter(map(all_tokens.__contains__, low), bool, len(low))
     return f
 
 
 class BioTagger(LocalEMDSystem):
     """A learned Local EMD system: an MLP with ReLU hidden layers of
     widths ``hidden`` and an O/B/I sigmoid head over the token features
-    a subclass supplies with ``_features(tokens, tweet_id, sent_id)``.
+    a subclass supplies for a chunk of sentences with ``_features``.
 
-    ``fit`` stacks those features over the training corpus, builds the
+    ``fit`` builds those features for the training corpus, builds the
     MLP with the input width the features have, and trains it with
-    ``train_bio_tagger``; ``tag_sentence`` decodes the argmax tags.
+    ``train_bio_tagger``; ``tag_chunk`` decodes the argmax tags.
     ``gazetteer_keys``, when given, back the two lexical features of
     ``_gazetteer``.
     """
@@ -141,12 +147,13 @@ class BioTagger(LocalEMDSystem):
         self.model: MLP | None = None
         self.train_info: dict = {}
 
-    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
-        """One sentence's ``(n_tokens, n_features)`` float32 input."""
+    def _features(self, sents: Sentences) -> np.ndarray:
+        """A chunk's ``(n_tokens, n_features)`` float32 input; no feature
+        of a token reads another sentence."""
         raise NotImplementedError
 
-    def _gazetteer(self, tokens: list) -> np.ndarray:
-        return gazetteer_features(tokens, self.gaz_uni, self.gaz_tokens)
+    def _gazetteer(self, sents: Sentences) -> np.ndarray:
+        return gazetteer_features(sents.tokens, self.gaz_uni, self.gaz_tokens)
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
         X, Y = bio_training_set(train_tweets, train_gold, self._features)
@@ -160,18 +167,22 @@ class BioTagger(LocalEMDSystem):
         if self.model is None:
             raise RuntimeError(f"{self.name}: call fit() before tagging")
 
-    def _forward(self, tokens: list, tweet_id: int, sent_id: int) -> tuple:
-        """One forward pass over a sentence: its decoded spans and the
-        activations entering the output layer."""
+    def _hidden(self, sents: Sentences) -> np.ndarray:
+        """The activations entering the output layer, every sentence of
+        the chunk forwarded on its own."""
         self._check_fitted()
-        hidden = self.model.penultimate(self._features(tokens, tweet_id, sent_id))
-        return decode_bio(self.model.layers[-1].forward(hidden)), hidden
+        return forward_segments(self.model.layers[:-1], self._features(sents), sents.offsets)
+
+    def tag_chunk(self, sents: Sentences) -> tuple:
+        """The spans of the most probable O/B/I tag of each token, and for
+        deep systems the float32 activations of the same forward pass."""
+        hidden = self._hidden(sents)
+        probs = forward_segments(self.model.layers[-1:], hidden, sents.offsets)
+        spans = bio_spans(np.argmax(probs, axis=1), sents.offsets)
+        return spans, hidden.astype(np.float32) if self.is_deep else None
 
     def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
-        self._check_fitted()
-        if not tokens:
-            return []
-        return self._forward(tokens, tweet_id, sent_id)[0]
+        return self.tag_and_embed(tokens, tweet_id, sent_id)[0]
 
 
 class DeepEMDSystem(BioTagger):
@@ -199,24 +210,16 @@ class DeepEMDSystem(BioTagger):
         self.bank = bank
         self.embedding_dim = self.hidden[-1]
 
-    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
-        emb = self.bank.contextual([t.lower() for t in tokens], tweet_id, sent_id)
-        parts = [emb, surface_features(tokens)]
+    def _features(self, sents: Sentences) -> np.ndarray:
+        emb = self.bank.contextual_chunk(
+            sents.lowered, sents.offsets, sents.tweet_ids, sents.sent_ids
+        )
+        parts = [emb, surface_features(sents.tokens, sents.offsets)]
         if self.gaz_uni is not None:
-            parts.append(self._gazetteer(tokens))
+            parts.append(self._gazetteer(sents))
         return np.concatenate(parts, axis=1)
 
-    def entity_aware_embeddings(
-        self, tokens: list, tweet_id: int, sent_id: int
-    ) -> np.ndarray:
-        """Penultimate-layer activations for every token (float32)."""
-        self._check_fitted()
-        return self.model.penultimate(
-            self._features(tokens, tweet_id, sent_id)
-        ).astype(np.float32)
-
-    def tag_and_embed(self, tokens: list, tweet_id: int, sent_id: int) -> tuple:
-        """``tag_sentence``'s spans and ``entity_aware_embeddings``' array,
-        bit-equal to both, from one forward pass."""
-        spans, hidden = self._forward(tokens, tweet_id, sent_id)
-        return spans, hidden.astype(np.float32)
+    def activations(self, sents: Sentences) -> np.ndarray:
+        """Penultimate-layer activations for every token (float32),
+        bit-equal to ``tag_chunk``'s."""
+        return self._hidden(sents).astype(np.float32)

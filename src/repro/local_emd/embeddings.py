@@ -39,6 +39,10 @@ def _stable_hash(s: str) -> int:
     return zlib.crc32(s.encode("utf-8"))
 
 
+# the decimal digits of a token position, for the occurrence hash
+_POSITIONS = [str(i).encode() for i in range(256)]
+
+
 @dataclass
 class EmbeddingBank:
     """Deterministic hashed-Gaussian embeddings with an entityness axis."""
@@ -55,7 +59,11 @@ class EmbeddingBank:
     # same string detected in one tweet, missed in another).
     direction_sigma: float = 0.4
     seed: int = 101
+    # token (as given, and lowercased) -> its row of ``_vectors``, whose
+    # first ``_n`` rows are the base vectors computed so far
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _vectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _n: int = field(default=0, repr=False, compare=False)
     _direction: np.ndarray | None = field(default=None, repr=False, compare=False)
     _noise: np.ndarray | None = field(default=None, repr=False, compare=False)
     _scalars: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -63,6 +71,8 @@ class EmbeddingBank:
     def __getstate__(self):  # drop caches when broadcast to executors
         d = self.__dict__.copy()
         d["_cache"] = {}
+        d["_vectors"] = None
+        d["_n"] = 0
         d["_direction"] = None
         d["_noise"] = None
         d["_scalars"] = None
@@ -93,40 +103,83 @@ class EmbeddingBank:
             self._scalars = g.normal(0.0, 1.0, _NOISE_POOL).astype(np.float32)
         return self._scalars
 
-    def base_vector(self, token: str) -> np.ndarray:
-        """Type-level embedding of the lowercased token."""
+    def _row(self, token: str) -> int:
+        """The row of ``_vectors`` that holds the token's base vector,
+        computed and appended at the token's first use."""
         t = token.lower()
-        vec = self._cache.get(t)
-        if vec is None:
+        row = self._cache.get(t)
+        if row is None:
             g = np.random.default_rng((_stable_hash(t) * 2654435761 + self.seed) % 2**63)
             vec = g.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim).astype(np.float32)
             fam = self.token_familiarity.get(t)
             if fam is not None:
                 vec = vec + np.float32(fam * self.entity_strength) * self.direction
-            self._cache[t] = vec
-        return vec
+            if self._vectors is None or self._n == len(self._vectors):
+                grown = np.empty((max(256, 2 * self._n), self.dim), dtype=np.float32)
+                if self._n:
+                    grown[: self._n] = self._vectors[: self._n]
+                self._vectors = grown
+            self._vectors[self._n] = vec
+            row = self._cache[t] = self._n
+            self._n += 1
+        self._cache[token] = row
+        return row
+
+    def base_vector(self, token: str) -> np.ndarray:
+        """Type-level embedding of the lowercased token."""
+        row = self._row(token)  # may grow ``_vectors``
+        return self._vectors[row].copy()
+
+    def base_vectors(self, tokens: list) -> np.ndarray:
+        """The base vectors of ``tokens``, an ``(n, dim)`` float32 matrix."""
+        get = self._cache.get
+        rows = [get(t) for t in tokens]
+        for i in [i for i, r in enumerate(rows) if r is None]:
+            rows[i] = self._row(tokens[i])
+        if not rows:
+            return np.empty((0, self.dim), dtype=np.float32)
+        return self._vectors[np.array(rows, dtype=np.intp)]
 
     def contextual(
         self, tokens: list, tweet_id: int, sent_id: int, start: int = 0
     ) -> np.ndarray:
         """Occurrence-level embeddings for ``tokens`` at positions
-        ``start..start+n`` of sentence ``(tweet_id, sent_id)``.
+        ``start..start+n`` of sentence ``(tweet_id, sent_id)``: the
+        one-sentence case of ``contextual_chunk``."""
+        return self.contextual_chunk(tokens, [0, len(tokens)], [tweet_id], [sent_id], start)
+
+    def contextual_chunk(
+        self, tokens: list, offsets, tweet_ids, sent_ids, start: int = 0
+    ) -> np.ndarray:
+        """Occurrence-level embeddings of the sentences
+        ``tokens[offsets[i]:offsets[i + 1]]``, sentence ``(tweet_ids[i],
+        sent_ids[i])``, their tokens at positions ``start, start + 1,
+        ...``.
 
         Returns an ``(n, dim)`` float32 matrix: base vector + sigma-scaled
-        pool noise keyed by the absolute occurrence coordinates.
+        pool noise keyed by the absolute occurrence coordinates, built
+        for all tokens at once. The hash of ``"tweet|sent|position"`` is
+        the CRC-32 of the position's digits continued from that of the
+        sentence's ``"tweet|sent|"`` prefix.
         """
-        n = len(tokens)
-        out = np.empty((n, self.dim), dtype=np.float32)
-        pool = self.noise_pool
-        scalars = self.scalar_pool
-        direction = self.direction
-        for i, tok in enumerate(tokens):
-            h = _stable_hash(f"{tweet_id}|{sent_id}|{start + i}") % _NOISE_POOL
-            out[i] = (
-                self.base_vector(tok)
-                + np.float32(self.noise_sigma) * pool[h]
-                + np.float32(self.direction_sigma * scalars[h]) * direction
-            )
+        crc32 = zlib.crc32
+        h = []
+        bounds = np.asarray(offsets).tolist()
+        ids = zip(np.asarray(tweet_ids).tolist(), np.asarray(sent_ids).tolist())
+        for (t, s), a, b in zip(ids, bounds, bounds[1:]):
+            prefix = crc32(f"{t}|{s}|".encode("utf-8"))
+            stop = start + b - a
+            digits = _POSITIONS[start:stop] if stop <= len(_POSITIONS) else [
+                str(p).encode() for p in range(start, stop)
+            ]
+            h += [crc32(d, prefix) for d in digits]
+        h = np.array(h, dtype=np.intp) % _NOISE_POOL
+        out = self.base_vectors(tokens)
+        out += np.float32(self.noise_sigma) * self.noise_pool[h]
+        # the scalar is rounded to float32 from a float64 product, as
+        # ``np.float32(sigma * scalar)`` rounds it for one token
+        scale = (self.direction_sigma * self.scalar_pool[h].astype(np.float64)).astype(np.float32)
+        out += scale[:, None] * self.direction
         return out
 
     def entityness(self, token: str) -> float:

@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from repro.local_emd.base import surface_features
+from repro.local_emd.base import Sentences, surface_features
 from repro.local_emd.deep import BioTagger
 
 __all__ = ["TwitterNLP"]
@@ -54,28 +54,26 @@ class TwitterNLP(BioTagger):
             return 2
         return 3
 
-    def _features(self, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
+    def _features(self, sents: Sentences) -> np.ndarray:
+        tokens = sents.tokens
         n = len(tokens)
         fb = np.zeros((n, _N_FREQ_BUCKETS), dtype=np.float32)
+        fb[np.arange(n), np.fromiter(map(self._freq_bucket, tokens), np.intp, n)] = 1.0
+        # neighbour-identity context buckets: T-SEG consumes contextual
+        # features of adjacent tokens (via T-POS/T-CHUNK); hashing
+        # neighbours into buckets reproduces the operative property —
+        # the same token is tagged differently in different contexts, so
+        # detection varies per occurrence
+        bucket = np.fromiter(
+            (zlib.crc32(t.encode()) % _N_CTX_BUCKETS for t in sents.lowered), np.intp, n
+        )
         ctx = np.zeros((n, 2 * _N_CTX_BUCKETS), dtype=np.float32)
-        for i, t in enumerate(tokens):
-            fb[i, self._freq_bucket(t)] = 1.0
-            # neighbour-identity context buckets: T-SEG consumes
-            # contextual features of adjacent tokens (via T-POS/T-CHUNK);
-            # hashing neighbours into buckets reproduces the operative
-            # property — the same token is tagged differently in
-            # different contexts, so detection varies per occurrence
-            if i > 0:
-                ctx[i, zlib.crc32(tokens[i - 1].lower().encode()) % _N_CTX_BUCKETS] = 1.0
-            if i < n - 1:
-                ctx[i, _N_CTX_BUCKETS + zlib.crc32(tokens[i + 1].lower().encode()) % _N_CTX_BUCKETS] = 1.0
+        has_prev = np.flatnonzero(sents.positions > 0)
+        ctx[has_prev, bucket[has_prev - 1]] = 1.0
+        has_next = np.flatnonzero(~sents.is_last)
+        ctx[has_next, _N_CTX_BUCKETS + bucket[has_next + 1]] = 1.0
         return np.concatenate(
-            [
-                surface_features(tokens),
-                self._gazetteer(tokens),
-                fb,
-                ctx,
-            ],
+            [surface_features(tokens, sents.offsets), self._gazetteer(sents), fb, ctx],
             axis=1,
         )
 

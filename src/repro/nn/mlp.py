@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dense", "MLP", "AdamState", "bce_loss", "bce_grad", "train_early_stopping"]
+__all__ = [
+    "Dense",
+    "MLP",
+    "AdamState",
+    "bce_loss",
+    "bce_grad",
+    "forward_segments",
+    "train_early_stopping",
+]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -35,6 +43,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _activate(act: str, z: np.ndarray) -> np.ndarray:
+    if act == "relu":
+        return relu(z)
+    if act == "sigmoid":
+        return sigmoid(z)
+    return z
 
 
 @dataclass
@@ -60,11 +76,7 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         self._z = x @ self.W + self.b
-        if self.act == "relu":
-            return relu(self._z)
-        if self.act == "sigmoid":
-            return sigmoid(self._z)
-        return self._z
+        return _activate(self.act, self._z)
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (grad_in, dW, db) for the cached forward batch."""
@@ -164,6 +176,33 @@ class MLP:
     @staticmethod
     def from_arrays(arrays: list) -> "MLP":
         return MLP([Dense(W, b, act) for W, b, act in arrays])
+
+
+def forward_segments(layers: list, x: np.ndarray, offsets) -> np.ndarray:
+    """The output of the ``Dense`` stack ``layers`` on each row segment
+    ``x[offsets[i]:offsets[i + 1]]`` as a batch of its own, stacked.
+
+    Each layer multiplies every segment by its weights in a product of
+    its own, because one product over the rows of several segments may
+    round differently: segments of one length are stacked into a 3-D
+    ``np.matmul``, which runs one 2-D product per segment. The bias and
+    the activation are elementwise and run once over all rows.
+    Bit-equal to ``Dense.forward`` on each segment; caches nothing for
+    backprop.
+    """
+    offsets = np.asarray(offsets)
+    lengths = np.diff(offsets)
+    groups = [
+        offsets[:-1][lengths == n][:, None] + np.arange(n)
+        for n in np.unique(lengths[lengths > 0])
+    ]
+    for layer in layers:
+        z = np.empty((len(x), layer.W.shape[1]), dtype=np.result_type(x, layer.W))
+        for rows in groups:
+            z[rows] = np.matmul(x[rows], layer.W)
+        z += layer.b
+        x = _activate(layer.act, z)
+    return x
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray, clip: float = 1e-9) -> float:

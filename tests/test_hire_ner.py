@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.hire_ner import HireNER, memory_from_sums, token_sums
 from repro.eval.metrics import score_mentions
+from repro.local_emd.base import Sentences
 from repro.streams import generator as gen
 
 
@@ -43,7 +44,7 @@ class TestTagging:
         width the fitted model's first layer takes."""
         toks = list(train_small.tweets["tokens"].iloc[0])
         assert (
-            hire._features(toks, 0, 0).shape[1]
+            hire._features(Sentences.one(toks, 0, 0)).shape[1]
             == hire.model.layers[0].W.shape[0]
             == 2 * hire.bank.dim + 11
         )

@@ -174,9 +174,10 @@ def _plan(df) -> str:
 def _scan(spark, df, trie, v, *, tag) -> tuple:
     """``scan_batch``'s rows sorted by span and split into local and
     mined rows, and its mining seconds and sentence count, read after
-    the action."""
-    rows, mine_seconds, n_sentences = scan_batch(spark, df, trie, v.shipped(spark), tag=tag)
+    the action, which is followed by destroying its CTrie broadcast."""
+    rows, mine_seconds, n_sentences, bc = scan_batch(spark, df, trie, v.shipped(spark), tag=tag)
     out = _by_span(rows)
+    bc.destroy()
     local = out[out["local"]].reset_index(drop=True)
     mined = out[~out["local"]].drop(columns="local").reset_index(drop=True)
     return local, mined, mine_seconds.value, n_sentences.value
@@ -210,7 +211,7 @@ class TestMineAndEmbed:
     @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
     def test_no_match_is_empty_with_schema(self, spark, request, variant, edge_df):
         v = request.getfixturevalue(variant)
-        df, _, _ = scan_batch(
+        df, _, _, _ = scan_batch(
             spark, edge_df, CTrie(["zzznotpresent"]), v.shipped(spark), tag=False
         )
         assert [(f.name, f.dataType.simpleString()) for f in df.schema] == [
@@ -223,7 +224,7 @@ class TestMineAndEmbed:
         """No join or repartition follows the deep scan; the split path,
         which joins the mentions back onto their tweets, has one."""
         v = aguilar_variant
-        fused, _, _ = scan_batch(spark, edge_df, edge_trie, v.shipped(spark), tag=False)
+        fused, _, _, _ = scan_batch(spark, edge_df, edge_trie, v.shipped(spark), tag=False)
         mined = extract_mentions(spark, edge_df, edge_trie)
         split = collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         assert "Exchange" not in _plan(fused)

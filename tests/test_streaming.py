@@ -214,6 +214,22 @@ class TestIncrementalPipeline:
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
         assert out.n_tweets == len(ds_small.tweets) and len(out.mentions) > 0
 
+    def test_micro_batches_leave_no_broadcast_files(
+        self, spark, chunker_variant, ds_small, tmp_path
+    ):
+        """Each micro-batch destroys the CTrie broadcast its scan read:
+        the driver's temporary directory, which holds a file per live
+        broadcast, does not grow over 10 one-file micro-batches."""
+        temp_dir = spark.sparkContext._temp_dir
+        files = write_stream_batches(ds_small, str(tmp_path), n_batches=11)
+        sg = StreamingGlobalizer(chunker_variant)
+        for b, path in enumerate(files):
+            sg.process_batch(spark, spark.read.schema(STREAM_SCHEMA).json(path), b)
+            if b == 0:
+                before = len(os.listdir(temp_dir))
+        assert len(os.listdir(temp_dir)) <= before
+        assert sum(len(o.mentions) for o in sg.outputs) > 0
+
     def test_multi_batch_state_grows(self, spark, aguilar_variant, ds_small, tmp_path_factory):
         td = tmp_path_factory.mktemp("stream")
         write_stream_batches(ds_small, str(td), n_batches=3)
@@ -285,9 +301,11 @@ class TestIncrementalPipeline:
     def test_system_unpickled_at_most_once_per_worker(
         self, spark, chunker_variant, ds_small, tmp_path
     ):
-        """A variant ships its system once: a batch cycle and two streams
-        of four one-file micro-batches hand their tasks the same
-        broadcast, and no Python worker unpickles the system twice."""
+        """A variant ships its system once: a batch cycle, two streams of
+        four one-file micro-batches and three batch cycles on a cached
+        4-partition frame (a tagging job, then the scan) hand their
+        tasks the same broadcast, and no Python worker unpickles the
+        system twice."""
         log = tmp_path / "unpickled-by"
         variant = FittedVariant(UnpickleLoggingChunker(str(log)), chunker_variant.classifier)
         shipped = []
@@ -300,7 +318,14 @@ class TestIncrementalPipeline:
             sg = StreamingGlobalizer(variant)
             sg.run_file_stream(spark, str(td))
             assert len(sg.outputs) == 4
-        assert len(shipped) == 9 and all(b is shipped[0] for b in shipped)
+        df = ds_small.to_spark(spark).repartition(4).cache()
+        try:
+            df.count()
+            for _ in range(3):
+                assert len(EMDGlobalizer(variant).run(spark, df).local_mentions) > 0
+        finally:
+            df.unpersist()
+        assert len(shipped) == 12 and all(b is shipped[0] for b in shipped)
         pids = log.read_text().split()
         assert len(pids) > 0 and len(pids) == len(set(pids))
 

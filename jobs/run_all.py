@@ -14,9 +14,8 @@ import argparse
 import os
 import time
 
-from _session import get_spark
-
 from repro.eval.experiments import DEFAULT_D5_SCALE, TABLES, run_tables
+from repro.session import get_spark
 
 
 def main() -> None:

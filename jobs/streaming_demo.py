@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import tempfile
 
-from _session import get_spark
-
 from repro.eval.experiments import fitted_variants
 from repro.eval.metrics import score_mentions
+from repro.session import get_spark
 from repro.streaming.job import StreamingGlobalizer, write_stream_batches
 from repro.streams import generator as gen
 

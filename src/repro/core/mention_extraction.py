@@ -27,8 +27,9 @@ tasks, and those of ``tag_shipped``, read the fitted system and phrase
 embedder from a broadcast made by ``ship``, not from their closure.
 
 ``extract_mentions`` and ``collect_local_embeddings`` do the same work
-in two steps (the deep one joins the mentions back onto their tweets)
-for the benchmark's layer trace and as the tests' reference.
+in two steps (the deep one joins the mentions back onto their tweets);
+they are kept for the benchmark's layer trace, which times the steps
+apart. No cycle runs them.
 """
 from __future__ import annotations
 
@@ -124,9 +125,6 @@ def _chunk_mentions(trie: CTrie, sents: Sentences) -> tuple:
     return rows, np.array(where, dtype=np.intp)
 
 
-# row ``c`` is ``syntactic.one_hot(c)``
-_ONE_HOT = np.eye(syntactic.N_CATEGORIES, dtype=np.float32)
-
 _TAGGED_EMB_ARROW = to_arrow_schema(TAGGED_EMB_SCHEMA)
 
 
@@ -161,24 +159,20 @@ def _mined_batch(trie: CTrie, system, pe, sents: Sentences, acts) -> pa.RecordBa
 
     With a phrase embedder ``pe`` (deep systems) the mentions are
     embedded together (``PhraseEmbedder.embed_spans``) from the chunk's
-    activations ``acts``; if those are ``None``, the activations of the
-    sentences with a mention are computed, as one chunk. Otherwise each
-    embedding is the one-hot of the mention's category.
+    activations ``acts``, which are computed for the whole chunk if they
+    are ``None``. Otherwise each embedding is the one-hot of the
+    mention's category.
     """
     rows, where = _chunk_mentions(trie, sents)
     columns = list(zip(*rows)) if rows else [[]] * len(MINED_SCHEMA.fields)
     if pe is None:
-        embs = _ONE_HOT[np.array(columns[6], dtype=np.intp)]
+        embs = syntactic.ONE_HOT[np.array(columns[6], dtype=np.intp)]
     elif not rows:
         embs = np.empty((0, pe.d_out), dtype=np.float32)
     else:
         if acts is None:
-            matched = np.unique(where)
-            sub = sents.take(matched)
-            acts, first = system.activations(sub), sub.offsets[np.searchsorted(matched, where)]
-        else:
-            first = sents.offsets[where]
-        embs = pe.embed_spans(acts, first + np.array(columns[2]), columns[3])
+            acts = system.activations(sents)
+        embs = pe.embed_spans(acts, sents.offsets[where] + np.array(columns[2]), columns[3])
     return _tagged_emb_batch(columns, embs, False)
 
 
@@ -190,13 +184,6 @@ def _with_one_hot(mined_df: DataFrame) -> DataFrame:
         for c in range(syntactic.N_CATEGORIES)
     ]
     return mined_df.withColumn("emb", F.array(*one_hot))
-
-
-def _phrase_arrays(phrase_embedder) -> tuple:
-    """The phrase embedder's picklable weights for a Spark closure."""
-    if phrase_embedder is None:
-        raise ValueError("deep Local EMD requires a trained PhraseEmbedder")
-    return phrase_embedder.to_arrays()
 
 
 def ship(spark: SparkSession, system, phrase_embedder=None) -> Broadcast:
@@ -254,16 +241,14 @@ def collect_local_embeddings(
     """
     if not system.is_deep:
         return _with_one_hot(mined_df)
+    if phrase_embedder is None:
+        raise ValueError("deep Local EMD requires a trained PhraseEmbedder")
 
-    dense = _phrase_arrays(phrase_embedder)
     joined = mined_df.join(
         tweets_df.select("tweet_id", "sent_id", "tokens"), ["tweet_id", "sent_id"]
     ).repartition("tweet_id")
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        from repro.core.phrase_embedder import PhraseEmbedder
-
-        pe = PhraseEmbedder.from_arrays(dense)
         for pdf in batches:
             keys = list(zip(pdf["tweet_id"], pdf["sent_id"]))
             tokens: dict = {}
@@ -272,7 +257,7 @@ def collect_local_embeddings(
             sents = Sentences.of(tokens.values(), [k[0] for k in tokens], [k[1] for k in tokens])
             index = {k: i for i, k in enumerate(tokens)}
             first = sents.offsets[[index[k] for k in keys]]
-            embs = pe.embed_spans(
+            embs = phrase_embedder.embed_spans(
                 system.activations(sents), first + pdf["start"].to_numpy(), pdf["length"]
             )
             pdf["emb"] = pd.Series(list(embs), index=pdf.index, dtype="object")
@@ -306,9 +291,10 @@ def scan_batch(
     phrase embedder. ``rows`` (``TAGGED_EMB_SCHEMA``) holds the mentions
     with their category and local candidate embedding, yielded one input
     record batch of sentences at a time, each built and embedded as one
-    chunk (``Sentences``) with array operations. Deep systems compute a
-    sentence's entity-aware embeddings (bit-equal to Local EMD's, see
-    ``repro.local_emd.embeddings``) only if it has a mention.
+    chunk (``Sentences``) with array operations. Without ``tag``, deep
+    systems compute the entity-aware embeddings of a chunk's sentences
+    (bit-equal to Local EMD's, see ``repro.local_emd.embeddings``) if
+    any of them has a mention.
 
     With ``tag``, ``rows`` also holds Local EMD's mentions (``local``
     true): each task tags its chunks (``tag_chunk``, one forward pass

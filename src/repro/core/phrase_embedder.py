@@ -80,19 +80,6 @@ class PhraseEmbedder:
         pooled = pool_spans(token_embs, starts, lengths)
         return (np.matmul(pooled[:, None, :], self.W)[:, 0, :] + self.b).astype(np.float32)
 
-    def embed_tokens(self, token_embs: np.ndarray) -> np.ndarray:
-        """Eq. 1 + Eq. 2 for one mention's token embeddings ``(n, d)``:
-        ``embed_spans`` of one span."""
-        return self.embed_spans(token_embs, [0], [len(token_embs)])[0]
-
-    # picklable form for Spark closures
-    def to_arrays(self) -> tuple:
-        return (self.W.copy(), self.b.copy())
-
-    @staticmethod
-    def from_arrays(arrays: tuple) -> "PhraseEmbedder":
-        return PhraseEmbedder(*arrays)
-
 
 def _cosine_and_grads(U: np.ndarray, Vv: np.ndarray, y: np.ndarray):
     """Cosine similarity per row and dL/dU, dL/dV for L = mean((cos-y)^2)."""

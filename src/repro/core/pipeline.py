@@ -71,6 +71,9 @@ __all__ = [
 # Aguilar keeps its 100-d output size; BERTweet compresses 768 -> 300.
 PHRASE_EMB_DIM = {"Aguilar et al.": 100, "BERTweet": 300}
 
+# seeds the Entity Classifier's initial weights and its training split
+CLASSIFIER_SEED = 6
+
 
 @dataclass
 class FittedVariant:
@@ -149,7 +152,6 @@ def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
 
 def global_emd_cycle(
     spark: SparkSession,
-    system,
     shipped: Broadcast,
     tweets_df: DataFrame,
     ctrie: CTrie,
@@ -168,9 +170,9 @@ def global_emd_cycle(
     entity candidates. ``ctrie`` and ``candidate_base`` are advanced in
     place: fresh ones give batch mode, kept ones a stream. An empty
     batch adds nothing and leaves every candidate's (sum, count), score
-    and label as they were. ``shipped`` is ``system`` and its phrase
-    embedder as ``ship`` broadcasts them; every job of the cycle reads
-    the system from it, so the driver does not use ``system``.
+    and label as they were. ``shipped`` is the Local EMD system and its
+    phrase embedder as ``ship`` broadcasts them; every job of the cycle
+    reads the system from it.
 
     ``scan_batch`` mines and embeds, collected as one Arrow table; it
     also tags if ``tweets_df`` has one partition. With ``one_task`` the
@@ -239,8 +241,7 @@ class EMDGlobalizer:
         """
         v = self.variant
         return global_emd_cycle(
-            spark, v.system, v.shipped(spark), tweets_df, CTrie(),
-            CandidateBase(v.emb_dim), v.classifier,
+            spark, v.shipped(spark), tweets_df, CTrie(), CandidateBase(v.emb_dim), v.classifier
         )
 
 
@@ -262,9 +263,7 @@ def candidate_table(
     """
     cb = CandidateBase(_emb_dim(variant_system, phrase_embedder))
     shipped = ship(spark, variant_system, phrase_embedder)
-    cands = global_emd_cycle(
-        spark, variant_system, shipped, tweets_df, CTrie(), cb
-    ).candidates
+    cands = global_emd_cycle(spark, shipped, tweets_df, CTrie(), cb).candidates
     keys = cands["key"].tolist()
     labels = np.array([1.0 if k in gold_keys else 0.0 for k in keys])
     return cb.embeddings(keys), keys, labels, cands["n_mentions"].to_numpy()
@@ -276,7 +275,6 @@ def build_variant(
     *,
     scale: float = 1.0,
     d5_scale: float | None = None,
-    classifier_seed: int = 6,
 ) -> FittedVariant:
     """Perform all offline training for one framework instantiation.
 
@@ -309,6 +307,6 @@ def build_variant(
     d5_df = d5.to_spark(spark)
     gold_keys = set(d5.gold["key"])
     embs, keys, labels, _ = candidate_table(spark, system, pe, d5_df, gold_keys)
-    clf = EntityClassifier.build(embs.shape[1], seed=classifier_seed)
-    clf_hist = clf.train(embs, keys, labels, seed=classifier_seed)
+    clf = EntityClassifier.build(embs.shape[1], seed=CLASSIFIER_SEED)
+    clf_hist = clf.train(embs, keys, labels, seed=CLASSIFIER_SEED)
     return FittedVariant(system, clf, pe, pe_hist, clf_hist)

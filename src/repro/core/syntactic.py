@@ -2,9 +2,10 @@
 
 For non-deep Local EMD systems, each candidate mention occurrence is
 encoded by which of six syntactic presentations it exhibits; pooling the
-one-hot encodings over all of a candidate's mentions yields its global
-syntactic distribution — entities concentrate on proper/full
-capitalization, common-word false positives on lowercase/sentence-start.
+one-hot encodings (the rows of ``ONE_HOT``) over all of a candidate's
+mentions yields its global syntactic distribution — entities concentrate
+on proper/full capitalization, common-word false positives on
+lowercase/sentence-start.
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ __all__ = [
     "CAT_NO_CAPS",
     "CAT_NONDISC",
     "N_CATEGORIES",
-    "mention_category",
+    "ONE_HOT",
     "sentence_categories",
-    "one_hot",
 ]
 
 CAT_PROPER = 0  # (1) first char of every candidate token capitalized
@@ -33,6 +33,9 @@ CAT_NO_CAPS = 4  # (5) entire string lowercase
 CAT_NONDISC = 5  # (6) sentence casing carries no information
 N_CATEGORIES = 6
 
+# row ``c`` is the float32 one-hot encoding of category ``c``
+ONE_HOT = np.eye(N_CATEGORIES, dtype=np.float32)
+
 
 def sentence_categories(tokens: list, spans: list) -> list:
     """The category of each ``(start, length)`` mention span of one
@@ -42,11 +45,6 @@ def sentence_categories(tokens: list, spans: list) -> list:
     if sentence_nondiscriminative(tokens):
         return [CAT_NONDISC] * len(spans)
     return [_span_category(tokens, start, length) for start, length in spans]
-
-
-def mention_category(tokens: list, start: int, length: int) -> int:
-    """Classify the mention at ``tokens[start:start+length]``."""
-    return sentence_categories(tokens, [(start, length)])[0]
 
 
 def _span_category(tokens: list, start: int, length: int) -> int:
@@ -65,9 +63,3 @@ def _span_category(tokens: list, start: int, length: int) -> int:
         return CAT_SUBSTRING
     # mixed internal casing with no capitalized token: treat as lowercase
     return CAT_NO_CAPS
-
-
-def one_hot(category: int) -> np.ndarray:
-    v = np.zeros(N_CATEGORIES, dtype=np.float32)
-    v[category] = 1.0
-    return v

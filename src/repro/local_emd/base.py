@@ -6,13 +6,12 @@ Deep systems additionally expose token-level 'entity-aware' embeddings
 from their penultimate layer. Both capabilities are defined here so the
 Global EMD pipeline can treat every instantiation as a black box.
 
-Systems work on a chunk of sentences at once (``Sentences``: every
+A system's one interface is a chunk of sentences (``Sentences``: every
 token of the chunk in one flat list, with sentence offsets), because the
 features of all its tokens can then be built with array operations:
 ``tag_chunk`` gives the spans of every sentence of a chunk and, for deep
-systems, the activations of every token. The one-sentence methods
-(``tag_sentence``, ``tag_and_embed``, ``entity_aware_embeddings``) are
-the one-sentence case of the chunk methods.
+systems, the activations of every token; ``activations`` gives those
+activations alone. A single sentence is a chunk of one.
 
 ``LocalEMDSystem.tag`` runs tagging as a Spark ``mapInArrow`` job over
 tweet partitions (``tag_batches``: one ``tag_chunk`` per Arrow record
@@ -44,7 +43,6 @@ __all__ = [
     "surface_features",
     "spans_to_bio",
     "bio_spans",
-    "bio_to_spans",
     "is_special",
     "sentence_nondiscriminative",
     "N_SURFACE_FEATURES",
@@ -97,11 +95,6 @@ class Sentences:
         return cls([t for s in sentences for t in s], offsets, tweet_ids, sent_ids)
 
     @classmethod
-    def one(cls, tokens, tweet_id: int = 0, sent_id: int = 0) -> "Sentences":
-        """A chunk of one sentence."""
-        return cls(list(tokens), [0, len(tokens)], [tweet_id], [sent_id])
-
-    @classmethod
     def from_frame(cls, tweets: pd.DataFrame) -> "Sentences":
         """The sentences of a pandas frame of tweets."""
         return cls.of(tweets["tokens"], tweets["tweet_id"], tweets["sent_id"])
@@ -123,13 +116,6 @@ class Sentences:
 
     def sentence(self, i: int) -> list:
         return self.tokens[self.offsets[i] : self.offsets[i + 1]]
-
-    def take(self, idx) -> "Sentences":
-        """The chunk of sentences ``idx``, in that order."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return Sentences.of(
-            [self.sentence(i) for i in idx], self.tweet_ids[idx], self.sent_ids[idx]
-        )
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -168,10 +154,6 @@ class Spans(NamedTuple):
         """Spans from ``(sentence, start, length)`` triples."""
         a = np.array(triples, dtype=np.int64).reshape(-1, 3)
         return Spans(a[:, 0], a[:, 1], a[:, 2])
-
-    def pairs(self) -> list:
-        """The ``(start, length)`` pairs, as ints."""
-        return list(zip(self.start.tolist(), self.length.tolist()))
 
 
 _SPECIAL_PREFIXES = ("#", "@", "http")
@@ -262,12 +244,6 @@ def bio_spans(tags: np.ndarray, offsets) -> Spans:
     return Spans(sentence, at - offsets[sentence], length)
 
 
-def bio_to_spans(tags: np.ndarray) -> list:
-    """Integer BIO tags of one sentence -> ``(start, length)`` spans:
-    ``bio_spans`` of a one-sentence chunk."""
-    return bio_spans(tags, [0, len(tags)]).pairs()
-
-
 def mention_columns(sents: Sentences, spans: Spans) -> dict:
     """``MENTIONS_SCHEMA`` columns of the ``spans`` of the chunk
     ``sents``. Spans touching a tweet-special token are dropped; ``key``
@@ -321,30 +297,12 @@ class LocalEMDSystem:
         systems override with a no-op."""
         raise NotImplementedError
 
-    def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
-        """Tag one sentence; return ``(start, length)`` spans."""
-        raise NotImplementedError
-
     def tag_chunk(self, sents: Sentences) -> tuple:
         """``(spans, activations)`` of a chunk: the ``Spans`` of every
         sentence and, for deep systems, the float32 entity-aware
         embeddings of every token from the same forward pass (``None``
-        for the others). Here: ``tag_sentence`` on each sentence."""
-        found = [
-            (i, start, length)
-            for i in range(len(sents))
-            for start, length in self.tag_sentence(
-                sents.sentence(i), int(sents.tweet_ids[i]), int(sents.sent_ids[i])
-            )
-        ]
-        return Spans.of(found), None
-
-    # ------------------------------------------------------------------
-    def tag_pandas(self, tweets: pd.DataFrame) -> pd.DataFrame:
-        """Tag a pandas chunk of tweets -> mentions frame."""
-        sents = Sentences.from_frame(tweets)
-        columns = mention_columns(sents, self.tag_chunk(sents)[0])
-        return pd.DataFrame(columns, columns=MENTIONS_SCHEMA.fieldNames())
+        for the others)."""
+        raise NotImplementedError
 
     def tag(self, tweets_df: DataFrame) -> DataFrame:
         """Distributed tagging: ``tag_batches`` as ``mapInArrow`` over
@@ -354,20 +312,7 @@ class LocalEMDSystem:
             lambda batches: tag_batches(system, batches), schema=MENTIONS_SCHEMA
         )
 
-    def tag_and_embed(self, tokens: list, tweet_id: int, sent_id: int) -> tuple:
-        """``tag_chunk`` of one sentence: its ``(start, length)`` spans and,
-        for deep systems, its activations."""
-        spans, acts = self.tag_chunk(Sentences.one(tokens, tweet_id, sent_id))
-        return spans.pairs(), acts
-
-    # -- deep-system extension points ----------------------------------
     def activations(self, sents: Sentences) -> np.ndarray:
         """Penultimate-layer embeddings (float32) of every token of a
         chunk (deep systems only)."""
         raise NotImplementedError(f"{self.name} is not a deep EMD system")
-
-    def entity_aware_embeddings(
-        self, tokens: list, tweet_id: int, sent_id: int
-    ) -> np.ndarray:
-        """``activations`` of one sentence."""
-        return self.activations(Sentences.one(tokens, tweet_id, sent_id))

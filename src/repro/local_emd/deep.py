@@ -181,9 +181,6 @@ class BioTagger(LocalEMDSystem):
         spans = bio_spans(np.argmax(probs, axis=1), sents.offsets)
         return spans, hidden.astype(np.float32) if self.is_deep else None
 
-    def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
-        return self.tag_and_embed(tokens, tweet_id, sent_id)[0]
-
 
 class DeepEMDSystem(BioTagger):
     """A deep Local EMD tagger over synthetic contextual embeddings.

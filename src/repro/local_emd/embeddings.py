@@ -140,14 +140,6 @@ class EmbeddingBank:
             return np.empty((0, self.dim), dtype=np.float32)
         return self._vectors[np.array(rows, dtype=np.intp)]
 
-    def contextual(
-        self, tokens: list, tweet_id: int, sent_id: int, start: int = 0
-    ) -> np.ndarray:
-        """Occurrence-level embeddings for ``tokens`` at positions
-        ``start..start+n`` of sentence ``(tweet_id, sent_id)``: the
-        one-sentence case of ``contextual_chunk``."""
-        return self.contextual_chunk(tokens, [0, len(tokens)], [tweet_id], [sent_id], start)
-
     def contextual_chunk(
         self, tokens: list, offsets, tweet_ids, sent_ids, start: int = 0
     ) -> np.ndarray:

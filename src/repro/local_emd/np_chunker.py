@@ -23,6 +23,8 @@ import pandas as pd
 
 from repro.local_emd.base import (
     LocalEMDSystem,
+    Sentences,
+    Spans,
     is_special,
     sentence_nondiscriminative,
 )
@@ -46,7 +48,18 @@ class NPChunker(LocalEMDSystem):
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
         """Rule-based: nothing to train."""
 
-    def tag_sentence(self, tokens: list, tweet_id: int, sent_id: int) -> list:
+    def tag_chunk(self, sents: Sentences) -> tuple:
+        """The spans ``_sentence_spans`` finds in each sentence of a
+        chunk; a rule-based system has no activations."""
+        found = [
+            (i, start, length)
+            for i in range(len(sents))
+            for start, length in self._sentence_spans(sents.sentence(i))
+        ]
+        return Spans.of(found), None
+
+    def _sentence_spans(self, tokens: list) -> list:
+        """The ``(start, length)`` chunks of one sentence."""
         if sentence_nondiscriminative(tokens):
             return [
                 (i, 1)

@@ -65,19 +65,21 @@ MENTION_COLS = MENTIONS_SCHEMA.fieldNames()
 # first batch
 _BATCH_THREAD = ThreadPoolExecutor(max_workers=1, thread_name_prefix="micro-batch")
 
+# the event time of a written stream's first tweet; each later tweet
+# comes one second after the one before it
+_STREAM_START = pd.Timestamp("2020-03-01T00:00:00")
+
 
 def write_stream_batches(
     dataset: TweetDataset,
     out_dir: str,
     *,
     n_batches: int = 4,
-    start_ts: str = "2020-03-01T00:00:00",
-    seconds_per_tweet: float = 1.0,
 ) -> list:
     """Write the dataset as ordered JSON micro-batch files with event
-    timestamps; returns the file paths in arrival order."""
+    timestamps from ``_STREAM_START``; returns the file paths in arrival
+    order."""
     os.makedirs(out_dir, exist_ok=True)
-    t0 = pd.Timestamp(start_ts)
     pdf = dataset.tweets.reset_index(drop=True)
     paths = []
     per = int(np.ceil(len(pdf) / n_batches))
@@ -86,7 +88,7 @@ def write_stream_batches(
         path = os.path.join(out_dir, f"batch-{b:04d}.json")
         with open(path, "w") as f:
             for i, r in chunk.iterrows():
-                ts = t0 + pd.Timedelta(seconds=i * seconds_per_tweet)
+                ts = _STREAM_START + pd.Timedelta(seconds=i)
                 f.write(
                     json.dumps(
                         {
@@ -137,8 +139,8 @@ class StreamingGlobalizer:
         v = self.variant
         before = len(self.ctrie)
         res = global_emd_cycle(
-            spark, v.system, v.shipped(spark), batch_df.drop("ts"),
-            self.ctrie, self.candidate_base, v.classifier, one_task=True,
+            spark, v.shipped(spark), batch_df.drop("ts"), self.ctrie,
+            self.candidate_base, v.classifier, one_task=True,
         )
         out = BatchOutput(
             batch_id, res.n_sentences, len(self.ctrie) - before,
@@ -160,11 +162,11 @@ class StreamingGlobalizer:
         spark: SparkSession,
         input_dir: str,
         *,
-        max_files_per_trigger: int = 1,
         timeout_seconds: int = 300,
     ) -> None:
         """Consume a directory of micro-batch files with a Structured
-        Streaming query whose ``foreachBatch`` advances this state.
+        Streaming query whose ``foreachBatch`` advances this state, one
+        file per micro-batch.
         Each micro-batch's ``process_batch`` runs on the module's one
         batch thread while the callback waits for it.
 
@@ -184,7 +186,7 @@ class StreamingGlobalizer:
 
         stream = (
             spark.readStream.schema(STREAM_SCHEMA)
-            .option("maxFilesPerTrigger", max_files_per_trigger)
+            .option("maxFilesPerTrigger", 1)
             .json(input_dir)
         )
         query = (

@@ -23,7 +23,8 @@ _N_CTX_BUCKETS = 16
 
 
 def contextual(bank, tokens: list, tweet_id: int, sent_id: int, start: int = 0) -> np.ndarray:
-    """``EmbeddingBank.contextual``, one token at a time."""
+    """``EmbeddingBank.contextual_chunk`` of one sentence, one token at a
+    time."""
     out = np.empty((len(tokens), bank.dim), dtype=np.float32)
     for i, tok in enumerate(tokens):
         h = zlib.crc32(f"{tweet_id}|{sent_id}|{start + i}".encode("utf-8")) % _NOISE_POOL
@@ -177,7 +178,7 @@ def mined_rows(trie, system, pe, sentences) -> list:
         ea = forward(system, toks, tweet_id, sent_id)[2] if pe is not None else None
         for (s, n, key), cat in zip(matches, cats):
             if pe is None:
-                emb = syntactic.one_hot(cat)
+                emb = np.eye(syntactic.N_CATEGORIES, dtype=np.float32)[cat]
             else:
                 emb = embed_tokens(pe, ea[s : s + n])
             rows.append(

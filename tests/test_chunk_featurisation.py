@@ -111,7 +111,8 @@ class TestFeatures:
         )
         assert got.dtype == np.float32 and np.array_equal(got, expect)
         assert np.array_equal(
-            bank.contextual(["x", "Y"], 3, 1, start=2), oracle.contextual(bank, ["x", "Y"], 3, 1, 2)
+            bank.contextual_chunk(["x", "Y"], [0, 2], [3], [1], start=2),
+            oracle.contextual(bank, ["x", "Y"], 3, 1, 2),
         )
 
     @pytest.mark.parametrize("fixture", SYSTEMS)
@@ -226,11 +227,11 @@ class TestSpanEmbeddings:
 
 def _local_mentions(system, sentences: list) -> pd.DataFrame:
     """Local EMD's mentions, one sentence at a time through the oracle's
-    forward pass (or the rule-based ``tag_sentence``)."""
+    forward pass (or the NP Chunker's rule on one sentence)."""
     rows = []
     for t, s, toks in sentences:
         spans = (
-            system.tag_sentence(toks, t, s)
+            system._sentence_spans(toks)
             if system.name == "NP Chunker"
             else oracle.forward(system, toks, t, s)[0]
         )

@@ -7,6 +7,11 @@ import pytest
 from repro.local_emd.embeddings import EmbeddingBank
 
 
+def _contextual(bank, tokens: list, tweet_id: int, sent_id: int, start: int = 0):
+    """``contextual_chunk`` of the one sentence ``tokens``."""
+    return bank.contextual_chunk(tokens, [0, len(tokens)], [tweet_id], [sent_id], start)
+
+
 @pytest.fixture()
 def bank():
     return EmbeddingBank(
@@ -59,22 +64,22 @@ class TestBaseVectors:
 
 class TestContextual:
     def test_shape(self, bank):
-        out = bank.contextual(["a", "b", "c"], 7, 0)
+        out = _contextual(bank, ["a", "b", "c"], 7, 0)
         assert out.shape == (3, 32)
 
     def test_deterministic_per_occurrence(self, bank):
-        a = bank.contextual(["a", "b"], 7, 0)
-        b = bank.contextual(["a", "b"], 7, 0)
+        a = _contextual(bank, ["a", "b"], 7, 0)
+        b = _contextual(bank, ["a", "b"], 7, 0)
         assert np.array_equal(a, b)
 
     def test_varies_across_occurrences(self, bank):
-        a = bank.contextual(["coronavirus"], 7, 0)
-        b = bank.contextual(["coronavirus"], 8, 0)
+        a = _contextual(bank, ["coronavirus"], 7, 0)
+        b = _contextual(bank, ["coronavirus"], 8, 0)
         assert not np.array_equal(a, b)
 
     def test_start_offset_shifts_noise(self, bank):
-        a = bank.contextual(["x"], 7, 0, start=0)
-        b = bank.contextual(["x"], 7, 0, start=1)
+        a = _contextual(bank, ["x"], 7, 0, start=0)
+        b = _contextual(bank, ["x"], 7, 0, start=1)
         assert not np.array_equal(a, b)
 
     def test_recompute_equals_slice(self, bank):
@@ -82,15 +87,15 @@ class TestContextual:
         bit-equal to slicing the full-sentence computation — the property
         the pipeline's recompute-instead-of-materialize design relies on."""
         toks = ["a", "b", "coronavirus", "c"]
-        full = bank.contextual(toks, 3, 1)
-        span = bank.contextual(toks[2:3], 3, 1, start=2)
+        full = _contextual(bank, toks, 3, 1)
+        span = _contextual(bank, toks[2:3], 3, 1, start=2)
         assert np.array_equal(full[2:3], span)
 
     def test_direction_noise_moves_entityness(self, bank):
         # across many occurrences, the entityness projection of the same
         # token should vary with std ~ direction_sigma
         proj = [
-            float(bank.contextual(["coronavirus"], i, 0)[0] @ bank.direction)
+            float(_contextual(bank, ["coronavirus"], i, 0)[0] @ bank.direction)
             for i in range(200)
         ]
         assert np.std(proj) == pytest.approx(0.3, abs=0.12)
@@ -102,7 +107,7 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(bank))
         assert np.array_equal(clone.base_vector("hello"), bank.base_vector("hello"))
         assert np.array_equal(
-            clone.contextual(["x", "y"], 1, 0), bank.contextual(["x", "y"], 1, 0)
+            _contextual(clone, ["x", "y"], 1, 0), _contextual(bank, ["x", "y"], 1, 0)
         )
 
     def test_caches_dropped_on_pickle(self, bank):

@@ -24,7 +24,7 @@ class TestMemory:
         vecs = []
         for r in sub.itertuples():
             toks = [t.lower() for t in r.tokens]
-            emb = hire.bank.contextual(toks, int(r.tweet_id), int(r.sent_id))
+            emb = hire.bank.contextual_chunk(toks, [0, len(toks)], [r.tweet_id], [r.sent_id])
             vecs += [e for t, e in zip(toks, emb) if t == tok]
         assert np.allclose(mem[tok], np.mean(vecs, axis=0), atol=1e-5)
 
@@ -44,7 +44,7 @@ class TestTagging:
         width the fitted model's first layer takes."""
         toks = list(train_small.tweets["tokens"].iloc[0])
         assert (
-            hire._features(Sentences.one(toks, 0, 0)).shape[1]
+            hire._features(Sentences.of([toks], [0], [0])).shape[1]
             == hire.model.layers[0].W.shape[0]
             == 2 * hire.bank.dim + 11
         )

@@ -1,12 +1,25 @@
 """Tests for the learned Local EMD systems (TwitterNLP, Aguilar,
 BERTweet) and the ``BioTagger`` machinery they share with HIRE-NER."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.eval.experiments import make_system
 from repro.eval.metrics import score_mentions
+from repro.local_emd.base import Sentences, mention_columns
 from repro.local_emd.deep import gazetteer_features, train_bio_tagger
 from repro.nn.mlp import MLP
+
+
+def _one(tokens: list, tweet_id: int = 0, sent_id: int = 0) -> Sentences:
+    """A chunk of the one sentence ``tokens``."""
+    return Sentences.of([tokens], [tweet_id], [sent_id])
+
+
+def _tagged(system, tweets: pd.DataFrame) -> pd.DataFrame:
+    """Local EMD's mentions of ``tweets``, tagged as one chunk."""
+    sents = Sentences.from_frame(tweets)
+    return pd.DataFrame(mention_columns(sents, system.tag_chunk(sents)[0]))
 
 
 class TestGazetteerFeatures:
@@ -61,7 +74,7 @@ class TestFittedSystems:
                 hire.tag(d1_small.to_spark(spark))
         else:
             with pytest.raises(RuntimeError):
-                make_system(name).tag_sentence(["a"], 0, 0)
+                make_system(name).tag_chunk(_one(["a"]))
 
     def test_twitter_nlp_freq_buckets(self, twitter_nlp):
         assert twitter_nlp._freq_bucket("zzzunseenzzz") == 0
@@ -80,9 +93,7 @@ class TestFittedSystems:
         assert pickle.dumps(refit.model.to_arrays()) == pickle.dumps(
             twitter_nlp.model.to_arrays()
         )
-        assert refit.tag_pandas(d1_small.tweets).equals(
-            twitter_nlp.tag_pandas(d1_small.tweets)
-        )
+        assert _tagged(refit, d1_small.tweets).equals(_tagged(twitter_nlp, d1_small.tweets))
 
     @pytest.mark.parametrize("fixture", ["twitter_nlp", "aguilar", "bertweet"])
     def test_f1_in_paper_band(self, request, fixture, d1_small):
@@ -90,7 +101,7 @@ class TestFittedSystems:
         band (Table III local F1 ranges 0.37-0.70 across systems and
         datasets) — neither degenerate nor oracle-perfect."""
         system = request.getfixturevalue(fixture)
-        pred = system.tag_pandas(d1_small.tweets)
+        pred = _tagged(system, d1_small.tweets)
         prf = score_mentions(pred, d1_small.gold)
         assert 0.30 <= prf.f1 <= 0.80, (fixture, prf)
 
@@ -99,7 +110,7 @@ class TestFittedSystems:
         """The paper's core observation: the same entity is detected in
         some tweets and missed in others."""
         system = request.getfixturevalue(fixture)
-        pred = system.tag_pandas(d1_small.tweets)
+        pred = _tagged(system, d1_small.tweets)
         found_keys = set(pred["key"]) & set(d1_small.gold["key"])
         gold_counts = d1_small.gold[d1_small.gold["key"].isin(found_keys)].groupby("key").size()
         span_cols = ["tweet_id", "sent_id", "start", "length"]
@@ -116,46 +127,32 @@ class TestFittedSystems:
         assert len(partial) > 10, "expected many entities with partially-missed mentions"
 
     def test_aguilar_embedding_dim(self, aguilar):
-        emb = aguilar.entity_aware_embeddings(["Italy", "is", "rising"], 0, 0)
+        emb = aguilar.activations(_one(["Italy", "is", "rising"]))
         assert emb.shape == (3, 100)
 
     def test_bertweet_embedding_dim(self, bertweet):
-        emb = bertweet.entity_aware_embeddings(["Italy"], 0, 0)
+        emb = bertweet.activations(_one(["Italy"]))
         assert emb.shape == (1, 768)
 
     def test_entity_aware_deterministic(self, aguilar):
-        a = aguilar.entity_aware_embeddings(["Italy", "rising"], 5, 0)
-        b = aguilar.entity_aware_embeddings(["Italy", "rising"], 5, 0)
+        a = aguilar.activations(_one(["Italy", "rising"], 5))
+        b = aguilar.activations(_one(["Italy", "rising"], 5))
         assert np.array_equal(a, b)
 
     def test_entity_aware_context_sensitive(self, aguilar):
-        a = aguilar.entity_aware_embeddings(["Italy"], 5, 0)
-        b = aguilar.entity_aware_embeddings(["Italy"], 6, 0)
+        a = aguilar.activations(_one(["Italy"], 5))
+        b = aguilar.activations(_one(["Italy"], 6))
         assert not np.array_equal(a, b)
 
     def test_tag_sentence_empty(self, aguilar):
-        assert aguilar.tag_sentence([], 0, 0) == []
-
-    @pytest.mark.parametrize("fixture", ["aguilar", "bertweet", "twitter_nlp"])
-    def test_tag_and_embed_is_tag_sentence_and_embeddings(self, request, fixture, d1_small):
-        """One forward pass gives ``tag_sentence``'s spans and the exact
-        ``entity_aware_embeddings`` (none for a non-deep tagger)."""
-        system = request.getfixturevalue(fixture)
-        for r in d1_small.tweets.head(40).itertuples():
-            toks = list(r.tokens)
-            spans, ea = system.tag_and_embed(toks, r.tweet_id, r.sent_id)
-            assert spans == system.tag_sentence(toks, r.tweet_id, r.sent_id)
-            if system.is_deep:
-                expect = system.entity_aware_embeddings(toks, r.tweet_id, r.sent_id)
-                assert ea.dtype == np.float32 and np.array_equal(ea, expect)
-            else:
-                assert ea is None
+        spans, acts = aguilar.tag_chunk(_one([]))
+        assert all(len(a) == 0 for a in spans) and acts.shape == (0, 100)
 
     def test_pickle_roundtrip_tags_identically(self, aguilar, d1_small):
         import pickle
 
         clone = pickle.loads(pickle.dumps(aguilar))
         sub = d1_small.tweets.head(30)
-        a = aguilar.tag_pandas(sub)
-        b = clone.tag_pandas(sub)
+        a = _tagged(aguilar, sub)
+        b = _tagged(clone, sub)
         assert a.equals(b)

@@ -1,14 +1,31 @@
 """Tests for shared Local EMD machinery (repro.local_emd.base)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.local_emd.base import (
-    bio_to_spans,
+    MENTIONS_SCHEMA,
+    Sentences,
+    bio_spans,
     is_special,
+    mention_columns,
     sentence_nondiscriminative,
     spans_to_bio,
     surface_features,
 )
+
+
+def _decoded(tags) -> list:
+    """``bio_spans`` of the one sentence ``tags`` as ``(sentence, start,
+    length)`` triples."""
+    spans = bio_spans(np.asarray(tags), [0, len(tags)])
+    return list(zip(*map(np.ndarray.tolist, spans)))
+
+
+def _tagged(system, tweets: pd.DataFrame) -> pd.DataFrame:
+    """Local EMD's mentions of ``tweets``, tagged as one chunk."""
+    sents = Sentences.from_frame(tweets)
+    return pd.DataFrame(mention_columns(sents, system.tag_chunk(sents)[0]))
 
 
 class TestIsSpecial:
@@ -91,45 +108,48 @@ class TestBioConversions:
         assert tags.tolist() == [1, 2, 1, 2]
 
     def test_bio_to_spans_basic(self):
-        assert bio_to_spans(np.array([0, 1, 2, 0, 1])) == [(1, 2), (4, 1)]
+        assert _decoded([0, 1, 2, 0, 1]) == [(0, 1, 2), (0, 4, 1)]
 
     def test_bio_to_spans_orphan_i_opens_span(self):
-        assert bio_to_spans(np.array([2, 2, 0])) == [(0, 2)]
+        assert _decoded([2, 2, 0]) == [(0, 0, 2)]
 
     def test_bio_to_spans_b_after_b(self):
-        assert bio_to_spans(np.array([1, 1])) == [(0, 1), (1, 1)]
+        assert _decoded([1, 1]) == [(0, 0, 1), (0, 1, 1)]
 
     def test_bio_to_spans_span_to_end(self):
-        assert bio_to_spans(np.array([0, 1, 2])) == [(1, 2)]
+        assert _decoded([0, 1, 2]) == [(0, 1, 2)]
 
     def test_roundtrip(self):
         spans = [(0, 1), (2, 3), (6, 1)]
-        assert bio_to_spans(spans_to_bio(8, spans)) == spans
+        assert _decoded(spans_to_bio(8, spans)) == [(0, a, n) for a, n in spans]
 
     def test_empty(self):
-        assert bio_to_spans(np.array([], dtype=int)) == []
+        assert _decoded(np.array([], dtype=int)) == []
         assert spans_to_bio(0, []).tolist() == []
 
 
 class TestTagPandas:
+    """Local EMD's mentions of a chunk (``mention_columns`` of
+    ``tag_chunk``)."""
+
     def test_mentions_frame_columns(self, np_chunker, d1_small):
-        out = np_chunker.tag_pandas(d1_small.tweets.head(50))
-        assert list(out.columns) == [
+        out = _tagged(np_chunker, d1_small.tweets.head(50))
+        assert list(out.columns) == MENTIONS_SCHEMA.fieldNames() == [
             "tweet_id", "sent_id", "start", "length", "key", "surface",
         ]
 
     def test_keys_lowercased(self, np_chunker, d1_small):
-        out = np_chunker.tag_pandas(d1_small.tweets.head(100))
+        out = _tagged(np_chunker, d1_small.tweets.head(100))
         assert (out["key"] == out["key"].str.lower()).all()
 
     def test_no_specials_in_mentions(self, np_chunker, d1_small):
-        out = np_chunker.tag_pandas(d1_small.tweets.head(100))
+        out = _tagged(np_chunker, d1_small.tweets.head(100))
         assert not out["key"].str.contains("#|@|http").any()
 
     def test_spark_tag_matches_pandas(self, spark, np_chunker, d1_small):
-        """mapInPandas distribution must not change the result set."""
+        """mapInArrow distribution must not change the result set."""
         sub = d1_small.tweets.head(120)
-        local = np_chunker.tag_pandas(sub)
+        local = _tagged(np_chunker, sub)
         df = spark.createDataFrame(sub)
         dist = np_chunker.tag(df).toPandas()
         key_cols = ["tweet_id", "sent_id", "start", "length"]

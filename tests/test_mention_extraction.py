@@ -15,9 +15,10 @@ from repro.core.mention_extraction import (
     ship,
 )
 from repro.core.pipeline import EMDGlobalizer, FittedVariant
-from repro.core.syntactic import N_CATEGORIES, mention_category, one_hot
+from repro.core.syntactic import N_CATEGORIES, ONE_HOT, sentence_categories
 from repro.oracle import assert_equivalent
 from repro.streams.generator import TWEETS_SCHEMA
+from tests import sentence_oracle as oracle
 
 SPAN = ["tweet_id", "sent_id", "start", "length"]
 
@@ -76,12 +77,12 @@ class TestExtractMentions:
 
     def test_sentence_categories_equal_per_mention(self, gold_trie, d1_small):
         """The scan checks a sentence's casing once; each row's category
-        is still ``mention_category`` of its span."""
+        is still the category of its span alone."""
         cats = []
         for r in d1_small.tweets.itertuples():
             toks = list(r.tokens)
             for row in _sentence_mentions(gold_trie, r.tweet_id, r.sent_id, toks):
-                assert row[6] == mention_category(toks, row[2], row[3])
+                assert row[6] == sentence_categories(toks, [(row[2], row[3])])[0]
                 cats.append(row[6])
         assert len(cats) > 500 and set(cats) == set(range(N_CATEGORIES))
 
@@ -96,7 +97,7 @@ class TestCollectLocalEmbeddings:
         embs = collect_local_embeddings(spark, tweets_df, mined, np_chunker).toPandas()
         assert len(embs) == mined.count()
         for r in embs.itertuples():
-            assert np.array_equal(np.asarray(r.emb), one_hot(r.category))
+            assert np.array_equal(np.asarray(r.emb), ONE_HOT[r.category])
 
     def test_deep_requires_phrase_embedder(self, spark, tweets_df, gold_trie, aguilar):
         mined = extract_mentions(spark, tweets_df, gold_trie)
@@ -123,10 +124,8 @@ class TestCollectLocalEmbeddings:
         toks = {(r.tweet_id, r.sent_id): list(r.tokens) for r in sub.itertuples()}
         for r in embs.head(20).itertuples():
             sent = toks[(r.tweet_id, r.sent_id)]
-            ea = aguilar_variant.system.entity_aware_embeddings(
-                sent, int(r.tweet_id), int(r.sent_id)
-            )
-            expect = pe.embed_tokens(ea[r.start : r.start + r.length])
+            ea = oracle.forward(aguilar_variant.system, sent, int(r.tweet_id), int(r.sent_id))[2]
+            expect = oracle.embed_tokens(pe, ea[r.start : r.start + r.length])
             assert np.allclose(np.asarray(r.emb), expect, atol=1e-4)
 
     def test_deep_embedding_width_is_phrase_dim(

@@ -1,6 +1,9 @@
-"""Tests for the rule-based NP Chunker."""
+"""Tests for the rule-based NP Chunker's rule on one sentence
+(``_sentence_spans``); ``tests/test_chunk_featurisation.py`` checks its
+``tag_chunk`` against that rule."""
 import pytest
 
+from repro.local_emd.base import Sentences
 from repro.local_emd.np_chunker import NPChunker
 
 
@@ -12,52 +15,52 @@ def chunker():
 class TestNormalSentences:
     def test_chunks_capitalized_run(self, chunker):
         toks = ["we", "visited", "Andy", "Beshear", "today"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(2, 2)]
+        assert chunker._sentence_spans(toks) == [(2, 2)]
 
     def test_chunks_allcaps_token(self, chunker):
         toks = ["cases", "in", "UK", "rising"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(2, 1)]
+        assert chunker._sentence_spans(toks) == [(2, 1)]
 
     def test_skips_lowercase_mentions(self, chunker):
         # mixed-case sentence (discriminative): lowercase mention missed
         toks = ["We", "love", "coronavirus", "news"]
-        assert chunker.tag_sentence(toks, 0, 0) == []
+        assert chunker._sentence_spans(toks) == []
 
     def test_lone_short_sentence_start_skipped(self, chunker):
         toks = ["Word", "then", "lower", "stuff"]
-        assert chunker.tag_sentence(toks, 0, 0) == []
+        assert chunker._sentence_spans(toks) == []
 
     def test_long_sentence_start_kept(self, chunker):
         toks = ["Wonderful" + "x" * 2, "then", "lower", "stuff"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(0, 1)]
+        assert chunker._sentence_spans(toks) == [(0, 1)]
 
     def test_sentence_start_run_kept(self, chunker):
         toks = ["Andy", "Beshear", "spoke", "well"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(0, 2)]
+        assert chunker._sentence_spans(toks) == [(0, 2)]
 
     def test_specials_break_runs(self, chunker):
         toks = ["meet", "Andy", "#covid", "Beshear", "ok"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(1, 1), (3, 1)]
+        assert chunker._sentence_spans(toks) == [(1, 1), (3, 1)]
 
     def test_partial_extraction_of_substring_caps(self, chunker):
         # only the capitalized prefix of a substring-cased mention chunks
         toks = ["saw", "Andy", "beshear", "live"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(1, 1)]
+        assert chunker._sentence_spans(toks) == [(1, 1)]
 
 
 class TestNondiscriminativeSentences:
     def test_allcaps_sentence_uses_length_rule(self, chunker):
         toks = ["WE", "PASSED", "SUPERLONGNAME", "NOW"]
-        assert chunker.tag_sentence(toks, 0, 0) == [(2, 1)]
+        assert chunker._sentence_spans(toks) == [(2, 1)]
 
     def test_lower_sentence_uses_length_rule(self, chunker):
         toks = ["all", "lower", "here", "including", "longcandidate"]
-        spans = chunker.tag_sentence(toks, 0, 0)
+        spans = chunker._sentence_spans(toks)
         assert (3, 1) in spans and (4, 1) in spans  # len>=8 words only
 
     def test_specials_never_chunked(self, chunker):
         toks = ["ALL", "CAPS", "#supercalifragilistic"]
-        assert chunker.tag_sentence(toks, 0, 0) == []
+        assert chunker._sentence_spans(toks) == []
 
 
 class TestConfig:
@@ -67,8 +70,9 @@ class TestConfig:
     def test_not_deep(self, chunker):
         assert not chunker.is_deep
         with pytest.raises(NotImplementedError):
-            chunker.entity_aware_embeddings(["a"], 0, 0)
+            chunker.activations(Sentences.of([["a"]], [0], [0]))
 
     def test_long_word_threshold_configurable(self):
         c = NPChunker(long_word=4)
-        assert c.tag_sentence(["Word", "then", "lower"], 0, 0) == [(0, 1)]
+        assert c._sentence_spans(["Word", "then", "lower"]) == [(0, 1)]
+

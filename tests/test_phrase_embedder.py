@@ -8,6 +8,7 @@ from repro.core.phrase_embedder import (
     pooled_sentence_embeddings,
     train_phrase_embedder,
 )
+from repro.local_emd.base import Sentences
 
 
 class TestEmbed:
@@ -19,24 +20,19 @@ class TestEmbed:
     def test_embed_tokens_mean_pools(self):
         pe = PhraseEmbedder.init(4, 3, seed=0)
         toks = np.random.default_rng(1).normal(size=(5, 4)).astype(np.float32)
-        expect = pe.embed_pooled(toks.mean(axis=0))
-        assert np.allclose(pe.embed_tokens(toks), expect, atol=1e-5)
+        expect = pe.embed_pooled(toks[1:4].mean(axis=0))
+        assert np.allclose(pe.embed_spans(toks, [1], [3])[0], expect, atol=1e-5)
 
     def test_output_dim(self):
         pe = PhraseEmbedder.init(8, 3, seed=0)
         assert pe.d_out == 3
-        assert pe.embed_tokens(np.zeros((2, 8), dtype=np.float32)).shape == (3,)
+        got = pe.embed_spans(np.zeros((2, 8), dtype=np.float32), [0, 1], [2, 1])
+        assert got.shape == (2, 3) and got.dtype == np.float32
 
     def test_single_token_phrase(self):
         pe = PhraseEmbedder.init(4, 2, seed=0)
         tok = np.ones((1, 4), dtype=np.float32)
-        assert np.allclose(pe.embed_tokens(tok), pe.embed_pooled(tok[0]), atol=1e-6)
-
-    def test_arrays_roundtrip(self):
-        pe = PhraseEmbedder.init(4, 2, seed=3)
-        clone = PhraseEmbedder.from_arrays(pe.to_arrays())
-        x = np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32)
-        assert np.allclose(pe.embed_tokens(x), clone.embed_tokens(x))
+        assert np.allclose(pe.embed_spans(tok, [0], [1])[0], pe.embed_pooled(tok[0]), atol=1e-6)
 
 
 class TestCosineGrads:
@@ -115,6 +111,6 @@ class TestPooledSentenceEmbeddings:
     def test_matches_manual_pooling(self, aguilar):
         sents = [("Italy", "is", "rising"), ("UK",)]
         out = pooled_sentence_embeddings(aguilar, sents, 500)
-        manual = aguilar.entity_aware_embeddings(["Italy", "is", "rising"], 500, 9999)
+        manual = aguilar.activations(Sentences.of([["Italy", "is", "rising"]], [500], [9999]))
         assert np.allclose(out[0], manual.mean(axis=0), atol=1e-5)
         assert out.shape == (2, 100)

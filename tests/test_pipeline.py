@@ -37,8 +37,7 @@ def _fresh_cycle(spark, variant, tweets_df) -> tuple:
     """One classified cycle from fresh state, and its CandidateBase."""
     cb = CandidateBase(variant.emb_dim)
     res = global_emd_cycle(
-        spark, variant.system, variant.shipped(spark), tweets_df, CTrie(), cb,
-        variant.classifier,
+        spark, variant.shipped(spark), tweets_df, CTrie(), cb, variant.classifier
     )
     return res, cb
 

@@ -145,7 +145,7 @@ class TestIncrementalPipeline:
                 ctrie, cb = CTrie(), CandidateBase(variant.emb_dim)
                 finals = [
                     global_emd_cycle(
-                        spark, variant.system, variant.shipped(spark),
+                        spark, variant.shipped(spark),
                         spark.createDataFrame(c, TWEETS_SCHEMA).repartition(n),
                         ctrie, cb, variant.classifier,
                     ).final_mentions

@@ -5,57 +5,62 @@ import pytest
 from repro.core import syntactic as S
 
 
+def _category(tokens: list, start: int, length: int) -> int:
+    """The category of the one mention ``tokens[start:start + length]``."""
+    return S.sentence_categories(tokens, [(start, length)])[0]
+
+
 class TestCategories:
     def test_proper_multigram(self):
         toks = ["saw", "Andy", "Beshear", "there"]
-        assert S.mention_category(toks, 1, 2) == S.CAT_PROPER
+        assert _category(toks, 1, 2) == S.CAT_PROPER
 
     def test_proper_unigram_mid_sentence(self):
         toks = ["cases", "in", "Italy", "rise"]
-        assert S.mention_category(toks, 2, 1) == S.CAT_PROPER
+        assert _category(toks, 2, 1) == S.CAT_PROPER
 
     def test_sentence_start_unigram(self):
         toks = ["Italy", "is", "rising"]
-        assert S.mention_category(toks, 0, 1) == S.CAT_SENT_START
+        assert _category(toks, 0, 1) == S.CAT_SENT_START
 
     def test_substring_capitalization(self):
         toks = ["saw", "Andy", "beshear", "now"]
-        assert S.mention_category(toks, 1, 2) == S.CAT_SUBSTRING
+        assert _category(toks, 1, 2) == S.CAT_SUBSTRING
 
     def test_full_caps(self):
         toks = ["the", "UK", "votes"]
-        assert S.mention_category(toks, 1, 1) == S.CAT_FULL_CAPS
+        assert _category(toks, 1, 1) == S.CAT_FULL_CAPS
 
     def test_full_caps_multigram(self):
         toks = ["the", "UN", "HQ", "x"]
-        assert S.mention_category(toks, 1, 2) == S.CAT_FULL_CAPS
+        assert _category(toks, 1, 2) == S.CAT_FULL_CAPS
 
     def test_no_caps(self):
         toks = ["the", "coronavirus", "Spreads"]
-        assert S.mention_category(toks, 1, 1) == S.CAT_NO_CAPS
+        assert _category(toks, 1, 1) == S.CAT_NO_CAPS
 
     def test_nondiscriminative_allcaps_sentence(self):
         toks = ["WE", "PASSED", "ITALY", "NOW"]
-        assert S.mention_category(toks, 2, 1) == S.CAT_NONDISC
+        assert _category(toks, 2, 1) == S.CAT_NONDISC
 
     def test_nondiscriminative_lower_sentence(self):
         toks = ["all", "lower", "coronavirus", "talk"]
-        assert S.mention_category(toks, 2, 1) == S.CAT_NONDISC
+        assert _category(toks, 2, 1) == S.CAT_NONDISC
 
     def test_nondiscriminative_title_sentence(self):
         toks = ["Every", "Token", "Capped", "Italy"]
-        assert S.mention_category(toks, 3, 1) == S.CAT_NONDISC
+        assert _category(toks, 3, 1) == S.CAT_NONDISC
 
     def test_sentence_start_multigram_is_proper(self):
         # category 2 is defined for unigram candidates only
         toks = ["Andy", "Beshear", "spoke", "x"]
-        assert S.mention_category(toks, 0, 2) == S.CAT_PROPER
+        assert _category(toks, 0, 2) == S.CAT_PROPER
 
 
 class TestOneHot:
     @pytest.mark.parametrize("cat", range(S.N_CATEGORIES))
     def test_one_hot(self, cat):
-        v = S.one_hot(cat)
+        v = S.ONE_HOT[cat]
         assert v.shape == (6,)
         assert v.sum() == 1.0 and v[cat] == 1.0
         assert v.dtype == np.float32

@@ -30,6 +30,7 @@ BETA = 0.40
 LABEL_ENTITY = "entity"
 LABEL_NON = "non-entity"
 LABEL_AMBIG = "ambiguous"
+HIDDEN = (64, 32)  # widths of the ReLU hidden layers
 
 
 def length_feature(key: str) -> float:
@@ -46,9 +47,9 @@ class EntityClassifier:
     validation_f1: float = float("nan")
 
     @staticmethod
-    def build(d_emb: int, hidden: tuple = (64, 32), seed: int = 5) -> "EntityClassifier":
-        sizes = [d_emb + 1, *hidden, 1]
-        acts = ["relu"] * len(hidden) + ["sigmoid"]
+    def build(d_emb: int, seed: int = 5) -> "EntityClassifier":
+        sizes = [d_emb + 1, *HIDDEN, 1]
+        acts = ["relu"] * len(HIDDEN) + ["sigmoid"]
         return EntityClassifier(MLP.build(sizes, acts, seed=seed), d_emb)
 
     @staticmethod

@@ -4,11 +4,11 @@ candidate-embedding collection (Section V-B).
 Local EMD's seed candidates (``_seed_keys``) are inserted into the
 CTrie, and the tweets are scanned with it: every mention of every
 candidate is found (including ones Local EMD missed), with the
-occurrence's syntactic category and its local candidate embedding —
-the 6-d one-hot of the category for non-deep systems, and for deep
-systems the sentence's entity-aware token embeddings pooled over the
-mention span and pushed through the Entity Phrase Embedder's dense
-layer (Eq. 1–2).
+occurrence's syntactic category and, for deep systems only, its local
+candidate embedding: the sentence's entity-aware token embeddings
+pooled over the mention span and pushed through the Entity Phrase
+Embedder's dense layer (Eq. 1–2). A non-deep system's mentions carry
+no floats: ``CandidateBase`` counts their categories.
 
 ``scan_batch`` is the one ``mapInArrow`` task that does this work in
 a cycle. It takes each input record batch as one chunk of sentences
@@ -81,6 +81,7 @@ EMB_SCHEMA = T.StructType(
 
 # ``scan_batch``'s rows: Local EMD's mentions when it tags (``local``,
 # with category -1 and an empty ``emb``) and the mined ``EMB_SCHEMA`` rows
+# (an empty ``emb`` for a non-deep system)
 TAGGED_EMB_SCHEMA = T.StructType(
     EMB_SCHEMA.fields + [T.StructField("local", T.BooleanType(), False)]
 )
@@ -160,15 +161,12 @@ def _mined_batch(trie: CTrie, system, pe, sents: Sentences, acts) -> pa.RecordBa
     With a phrase embedder ``pe`` (deep systems) the mentions are
     embedded together (``PhraseEmbedder.embed_spans``) from the chunk's
     activations ``acts``, which are computed for the whole chunk if they
-    are ``None``. Otherwise each embedding is the one-hot of the
-    mention's category.
+    are ``None``. Otherwise every ``emb`` is empty.
     """
     rows, where = _chunk_mentions(trie, sents)
     columns = list(zip(*rows)) if rows else [[]] * len(MINED_SCHEMA.fields)
-    if pe is None:
-        embs = syntactic.ONE_HOT[np.array(columns[6], dtype=np.intp)]
-    elif not rows:
-        embs = np.empty((0, pe.d_out), dtype=np.float32)
+    if pe is None or not rows:
+        embs = np.empty((len(rows), 0 if pe is None else pe.d_out), dtype=np.float32)
     else:
         if acts is None:
             acts = system.activations(sents)

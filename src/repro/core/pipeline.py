@@ -80,7 +80,7 @@ class FittedVariant:
     """One framework instantiation, ready to run on streams."""
 
     system: object
-    classifier: EntityClassifier
+    classifier: EntityClassifier | None
     phrase_embedder: PhraseEmbedder | None = None
     pe_history: dict = field(default_factory=dict)
     clf_history: dict = field(default_factory=dict)
@@ -89,8 +89,13 @@ class FittedVariant:
 
     @property
     def emb_dim(self) -> int:
-        """Width of local/global candidate embeddings for this variant."""
-        return _emb_dim(self.system, self.phrase_embedder)
+        """Width of the global candidate embeddings the classifier reads."""
+        return self.phrase_embedder.d_out if self.system.is_deep else N_CATEGORIES
+
+    def candidate_base(self) -> CandidateBase:
+        """An empty ``CandidateBase`` for this variant: it pools a deep
+        system's phrase embeddings, and only category counts otherwise."""
+        return CandidateBase(self.emb_dim if self.system.is_deep else 0)
 
     def shipped(self, spark: SparkSession) -> Broadcast:
         """``ship``'s broadcast of ``(system, phrase_embedder)``, made at
@@ -112,14 +117,10 @@ class GlobalizerResult:
     local_mentions: pd.DataFrame
     mined_mentions: pd.DataFrame
     final_mentions: pd.DataFrame
-    candidates: pd.DataFrame  # key, n_mentions, score, label
+    candidates: pd.DataFrame  # CandidateBase.table()
     local_seconds: float
     global_seconds: float
     n_sentences: int  # tweet-sentences the cycle read
-
-
-def _emb_dim(system, phrase_embedder: PhraseEmbedder | None) -> int:
-    return phrase_embedder.d_out if system.is_deep else N_CATEGORIES
 
 
 def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
@@ -132,7 +133,7 @@ def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
     rows arrive in. The embeddings are copied once, chunk by chunk, out
     of Arrow's flat float buffers: no Python object per mention. A local
     row's ``emb`` is empty, so flattening skips it without a filter that
-    would copy the embeddings.
+    would copy the embeddings; with ``d_emb`` 0 nothing is copied.
     """
     mined = table.select(MINED_SCHEMA.fieldNames()).to_pandas()
     # masking copies the frame: only a table with local rows pays it
@@ -143,7 +144,7 @@ def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
     rank[order] = np.arange(len(order))
     embs = np.empty((len(order), d_emb), dtype=np.float32)
     start = 0
-    for chunk in table.column("emb").chunks:
+    for chunk in table.column("emb").chunks if d_emb else ():
         rows = chunk.flatten().to_numpy().reshape(-1, d_emb)
         embs[rank[start : start + len(rows)]] = rows
         start += len(rows)
@@ -216,7 +217,7 @@ def global_emd_cycle(
         for key in _seed_keys(local):
             ctrie.insert(key)
     mined, embs = _collect_mentions(table, candidate_base.d_emb)
-    candidate_base.add_mentions(mined["key"].to_numpy(), embs)
+    candidate_base.add_mentions(mined["key"].to_numpy(), embs, mined["category"].to_numpy())
     if classifier is not None:
         candidate_base.classify_all(classifier)
     final = mined[mined["key"].isin(candidate_base.entity_keys())].reset_index(drop=True)
@@ -241,16 +242,12 @@ class EMDGlobalizer:
         """
         v = self.variant
         return global_emd_cycle(
-            spark, v.shipped(spark), tweets_df, CTrie(), CandidateBase(v.emb_dim), v.classifier
+            spark, v.shipped(spark), tweets_df, CTrie(), v.candidate_base(), v.classifier
         )
 
 
 def candidate_table(
-    spark: SparkSession,
-    variant_system,
-    phrase_embedder: PhraseEmbedder | None,
-    tweets_df: DataFrame,
-    gold_keys: set,
+    spark: SparkSession, variant: FittedVariant, tweets_df: DataFrame, gold_keys: set
 ) -> tuple:
     """Mine the labelled candidate table used to train/evaluate the
     Entity Classifier: one unclassified ``global_emd_cycle`` over a
@@ -261,9 +258,8 @@ def candidate_table(
 
     Returns ``(embs, keys, labels, n_mentions)``.
     """
-    cb = CandidateBase(_emb_dim(variant_system, phrase_embedder))
-    shipped = ship(spark, variant_system, phrase_embedder)
-    cands = global_emd_cycle(spark, shipped, tweets_df, CTrie(), cb).candidates
+    cb = variant.candidate_base()
+    cands = global_emd_cycle(spark, variant.shipped(spark), tweets_df, CTrie(), cb).candidates
     keys = cands["key"].tolist()
     labels = np.array([1.0 if k in gold_keys else 0.0 for k in keys])
     return cb.embeddings(keys), keys, labels, cands["n_mentions"].to_numpy()
@@ -304,9 +300,9 @@ def build_variant(
         )
 
     d5 = gen.generate("d5", scale=d5_scale if d5_scale is not None else scale)
-    d5_df = d5.to_spark(spark)
-    gold_keys = set(d5.gold["key"])
-    embs, keys, labels, _ = candidate_table(spark, system, pe, d5_df, gold_keys)
-    clf = EntityClassifier.build(embs.shape[1], seed=CLASSIFIER_SEED)
-    clf_hist = clf.train(embs, keys, labels, seed=CLASSIFIER_SEED)
-    return FittedVariant(system, clf, pe, pe_hist, clf_hist)
+    # shipped once, here: the D5 table and every later cycle read one broadcast
+    variant = FittedVariant(system, None, pe, pe_hist)
+    embs, keys, labels, _ = candidate_table(spark, variant, d5.to_spark(spark), set(d5.gold["key"]))
+    variant.classifier = EntityClassifier.build(embs.shape[1], seed=CLASSIFIER_SEED)
+    variant.clf_history = variant.classifier.train(embs, keys, labels, seed=CLASSIFIER_SEED)
+    return variant

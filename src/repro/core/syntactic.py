@@ -1,15 +1,12 @@
-"""Six-way syntactic capitalization embedding (Section V-B-1).
+"""Six-way syntactic capitalization categories (Section V-B-1).
 
-For non-deep Local EMD systems, each candidate mention occurrence is
-encoded by which of six syntactic presentations it exhibits; pooling the
-one-hot encodings (the rows of ``ONE_HOT``) over all of a candidate's
-mentions yields its global syntactic distribution — entities concentrate
-on proper/full capitalization, common-word false positives on
-lowercase/sentence-start.
+Each mined mention occurrence is given which of six syntactic
+presentations it exhibits. A candidate's mention counts per category
+over its mention count (``CandidateBase``) are its global syntactic
+distribution — entities concentrate on proper/full capitalization,
+common-word false positives on lowercase/sentence-start.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from repro.local_emd.base import sentence_nondiscriminative
 
@@ -21,7 +18,7 @@ __all__ = [
     "CAT_NO_CAPS",
     "CAT_NONDISC",
     "N_CATEGORIES",
-    "ONE_HOT",
+    "CATEGORY_NAMES",
     "sentence_categories",
 ]
 
@@ -33,8 +30,8 @@ CAT_NO_CAPS = 4  # (5) entire string lowercase
 CAT_NONDISC = 5  # (6) sentence casing carries no information
 N_CATEGORIES = 6
 
-# row ``c`` is the float32 one-hot encoding of category ``c``
-ONE_HOT = np.eye(N_CATEGORIES, dtype=np.float32)
+# the name of each category, by number: a candidate table's count columns
+CATEGORY_NAMES = ("proper", "sent_start", "substring", "full_caps", "no_caps", "nondisc")
 
 
 def sentence_categories(tokens: list, spans: list) -> list:

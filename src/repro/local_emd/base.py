@@ -178,10 +178,9 @@ def sentence_nondiscriminative(tokens: list) -> bool:
     )
 
 
-def surface_features(tokens: list, offsets=None) -> np.ndarray:
+def surface_features(tokens: list, offsets) -> np.ndarray:
     """Per-token orthographic features, ``(n, N_SURFACE_FEATURES)``, of
-    the sentences ``tokens[offsets[i]:offsets[i + 1]]`` (by default
-    ``tokens`` is one sentence):
+    the sentences ``tokens[offsets[i]:offsets[i + 1]]``:
 
     0 cap-initial, 1 all-caps, 2 lowercase, 3 special(#/@/url),
     4 sentence-start, 5 sentence-nondiscriminative, 6 long-word(len>=8),
@@ -189,7 +188,7 @@ def surface_features(tokens: list, offsets=None) -> np.ndarray:
     a sentence boundary).
     """
     n = len(tokens)
-    offsets = np.array([0, n]) if offsets is None else np.asarray(offsets)
+    offsets = np.asarray(offsets)
     lengths = np.diff(offsets)
     size = np.fromiter(map(len, tokens), np.intp, n)
     allcaps = np.fromiter(map(str.isupper, tokens), bool, n) & (size > 1)

@@ -140,13 +140,10 @@ class EmbeddingBank:
             return np.empty((0, self.dim), dtype=np.float32)
         return self._vectors[np.array(rows, dtype=np.intp)]
 
-    def contextual_chunk(
-        self, tokens: list, offsets, tweet_ids, sent_ids, start: int = 0
-    ) -> np.ndarray:
+    def contextual_chunk(self, tokens: list, offsets, tweet_ids, sent_ids) -> np.ndarray:
         """Occurrence-level embeddings of the sentences
         ``tokens[offsets[i]:offsets[i + 1]]``, sentence ``(tweet_ids[i],
-        sent_ids[i])``, their tokens at positions ``start, start + 1,
-        ...``.
+        sent_ids[i])``, their tokens at positions ``0, 1, ...``.
 
         Returns an ``(n, dim)`` float32 matrix: base vector + sigma-scaled
         pool noise keyed by the absolute occurrence coordinates, built
@@ -160,10 +157,8 @@ class EmbeddingBank:
         ids = zip(np.asarray(tweet_ids).tolist(), np.asarray(sent_ids).tolist())
         for (t, s), a, b in zip(ids, bounds, bounds[1:]):
             prefix = crc32(f"{t}|{s}|".encode("utf-8"))
-            stop = start + b - a
-            digits = _POSITIONS[start:stop] if stop <= len(_POSITIONS) else [
-                str(p).encode() for p in range(start, stop)
-            ]
+            n = b - a
+            digits = _POSITIONS[:n] if n <= len(_POSITIONS) else [str(p).encode() for p in range(n)]
             h += [crc32(d, prefix) for d in digits]
         h = np.array(h, dtype=np.intp) % _NOISE_POOL
         out = self.base_vectors(tokens)

@@ -31,6 +31,9 @@ from repro.local_emd.base import (
 
 __all__ = ["NPChunker"]
 
+# a word this long is trusted as a noun candidate where casing is no guide
+LONG_WORD = 8
+
 
 def _cap_like(tok: str) -> bool:
     return len(tok) > 0 and tok[0].isupper()
@@ -41,9 +44,6 @@ class NPChunker(LocalEMDSystem):
 
     name = "NP Chunker"
     is_deep = False
-
-    def __init__(self, long_word: int = 8):
-        self.long_word = long_word
 
     def fit(self, train_tweets: pd.DataFrame, train_gold: pd.DataFrame) -> None:
         """Rule-based: nothing to train."""
@@ -64,7 +64,7 @@ class NPChunker(LocalEMDSystem):
             return [
                 (i, 1)
                 for i, t in enumerate(tokens)
-                if not is_special(t) and len(t) >= self.long_word
+                if not is_special(t) and len(t) >= LONG_WORD
             ]
         spans = []
         i = 0
@@ -76,7 +76,7 @@ class NPChunker(LocalEMDSystem):
                     j += 1
                 length = j - i
                 # a lone capitalized sentence-starter is ambiguous unless long
-                if not (length == 1 and i == 0 and len(tokens[0]) < self.long_word):
+                if not (length == 1 and i == 0 and len(tokens[0]) < LONG_WORD):
                     spans.append((i, length))
                 i = j
             else:

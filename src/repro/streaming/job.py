@@ -126,7 +126,7 @@ class StreamingGlobalizer:
 
     def __post_init__(self):
         if self.candidate_base is None:
-            self.candidate_base = CandidateBase(self.variant.emb_dim)
+            self.candidate_base = self.variant.candidate_base()
 
     def process_batch(
         self, spark: SparkSession, batch_df: DataFrame, batch_id: int

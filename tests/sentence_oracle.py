@@ -22,12 +22,12 @@ _N_FREQ_BUCKETS = 4
 _N_CTX_BUCKETS = 16
 
 
-def contextual(bank, tokens: list, tweet_id: int, sent_id: int, start: int = 0) -> np.ndarray:
+def contextual(bank, tokens: list, tweet_id: int, sent_id: int) -> np.ndarray:
     """``EmbeddingBank.contextual_chunk`` of one sentence, one token at a
     time."""
     out = np.empty((len(tokens), bank.dim), dtype=np.float32)
     for i, tok in enumerate(tokens):
-        h = zlib.crc32(f"{tweet_id}|{sent_id}|{start + i}".encode("utf-8")) % _NOISE_POOL
+        h = zlib.crc32(f"{tweet_id}|{sent_id}|{i}".encode("utf-8")) % _NOISE_POOL
         out[i] = (
             bank.base_vector(tok)
             + np.float32(bank.noise_sigma) * bank.noise_pool[h]
@@ -166,8 +166,7 @@ def mined_rows(trie, system, pe, sentences) -> list:
     """``(tweet_id, sent_id, start, length, key, surface, category, emb)``
     of every mention of a ``trie`` candidate in ``sentences``,
     ``(tweet_id, sent_id, tokens)`` triples: one sentence and one
-    mention at a time, the embedding the one-hot of the category for a
-    non-deep system."""
+    mention at a time, the embedding empty for a non-deep system."""
     rows = []
     for tweet_id, sent_id, toks in sentences:
         toks = list(toks)
@@ -178,7 +177,7 @@ def mined_rows(trie, system, pe, sentences) -> list:
         ea = forward(system, toks, tweet_id, sent_id)[2] if pe is not None else None
         for (s, n, key), cat in zip(matches, cats):
             if pe is None:
-                emb = np.eye(syntactic.N_CATEGORIES, dtype=np.float32)[cat]
+                emb = np.empty(0, dtype=np.float32)
             else:
                 emb = embed_tokens(pe, ea[s : s + n])
             rows.append(

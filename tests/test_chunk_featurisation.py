@@ -110,10 +110,6 @@ class TestFeatures:
             ]
         )
         assert got.dtype == np.float32 and np.array_equal(got, expect)
-        assert np.array_equal(
-            bank.contextual_chunk(["x", "Y"], [0, 2], [3], [1], start=2),
-            oracle.contextual(bank, ["x", "Y"], 3, 1, 2),
-        )
 
     @pytest.mark.parametrize("fixture", SYSTEMS)
     def test_features_equal_per_sentence_loop(self, request, fixture, edge_tweets):

@@ -7,9 +7,9 @@ import pytest
 from repro.local_emd.embeddings import EmbeddingBank
 
 
-def _contextual(bank, tokens: list, tweet_id: int, sent_id: int, start: int = 0):
+def _contextual(bank, tokens: list, tweet_id: int, sent_id: int):
     """``contextual_chunk`` of the one sentence ``tokens``."""
-    return bank.contextual_chunk(tokens, [0, len(tokens)], [tweet_id], [sent_id], start)
+    return bank.contextual_chunk(tokens, [0, len(tokens)], [tweet_id], [sent_id])
 
 
 @pytest.fixture()
@@ -77,19 +77,14 @@ class TestContextual:
         b = _contextual(bank, ["coronavirus"], 8, 0)
         assert not np.array_equal(a, b)
 
-    def test_start_offset_shifts_noise(self, bank):
-        a = _contextual(bank, ["x"], 7, 0, start=0)
-        b = _contextual(bank, ["x"], 7, 0, start=1)
-        assert not np.array_equal(a, b)
-
     def test_recompute_equals_slice(self, bank):
-        """Recomputing a span's embeddings with the right start offset is
-        bit-equal to slicing the full-sentence computation — the property
-        the pipeline's recompute-instead-of-materialize design relies on."""
-        toks = ["a", "b", "coronavirus", "c"]
-        full = _contextual(bank, toks, 3, 1)
-        span = _contextual(bank, toks[2:3], 3, 1, start=2)
-        assert np.array_equal(full[2:3], span)
+        """Recomputing one sentence alone is bit-equal to slicing it out
+        of a chunk of several sentences — the property the pipeline's
+        recompute-instead-of-materialize design relies on."""
+        sents = [["a", "b"], ["a", "b", "coronavirus", "c"], ["x"]]
+        chunk = bank.contextual_chunk(sum(sents, []), [0, 2, 6, 7], [3, 3, 4], [0, 1, 0])
+        assert np.array_equal(chunk[2:6], _contextual(bank, sents[1], 3, 1))
+        assert not np.array_equal(chunk[0:2], chunk[2:4])
 
     def test_direction_noise_moves_entityness(self, bank):
         # across many occurrences, the entityness projection of the same

@@ -58,41 +58,46 @@ class TestNondiscriminative:
         assert sentence_nondiscriminative([])
 
 
+def _one_sentence(tokens: list) -> np.ndarray:
+    """``surface_features`` of the one sentence ``tokens``."""
+    return surface_features(tokens, [0, len(tokens)])
+
+
 class TestSurfaceFeatures:
     def test_shape(self):
-        f = surface_features(["Italy", "is", "rising"])
+        f = _one_sentence(["Italy", "is", "rising"])
         assert f.shape == (3, 9)
 
     def test_cap_initial(self):
-        f = surface_features(["Italy", "is", "rising"])
+        f = _one_sentence(["Italy", "is", "rising"])
         assert f[0, 0] == 1 and f[1, 0] == 0
 
     def test_allcaps_flag(self):
-        f = surface_features(["UK", "is", "great"])
+        f = _one_sentence(["UK", "is", "great"])
         assert f[0, 1] == 1 and f[0, 0] == 0
 
     def test_lower_flag(self):
-        f = surface_features(["Italy", "is"])
+        f = _one_sentence(["Italy", "is"])
         assert f[1, 2] == 1 and f[0, 2] == 0
 
     def test_special_flag(self):
-        f = surface_features(["#covid", "x"])
+        f = _one_sentence(["#covid", "x"])
         assert f[0, 3] == 1
 
     def test_sentence_start(self):
-        f = surface_features(["a", "b"])
+        f = _one_sentence(["a", "b"])
         assert f[0, 4] == 1 and f[1, 4] == 0
 
     def test_nondisc_broadcast(self):
-        f = surface_features(["ALL", "CAPS"])
+        f = _one_sentence(["ALL", "CAPS"])
         assert np.all(f[:, 5] == 1)
 
     def test_long_word(self):
-        f = surface_features(["abcdefgh", "abc"])
+        f = _one_sentence(["abcdefgh", "abc"])
         assert f[0, 6] == 1 and f[1, 6] == 0
 
     def test_neighbour_caps(self):
-        f = surface_features(["lower", "Italy", "lower"])
+        f = _one_sentence(["lower", "Italy", "lower"])
         assert f[0, 8] == 1  # next capitalized
         assert f[2, 7] == 1  # prev capitalized
         assert f[0, 7] == 0 and f[2, 8] == 0

@@ -15,7 +15,7 @@ from repro.core.mention_extraction import (
     ship,
 )
 from repro.core.pipeline import EMDGlobalizer, FittedVariant
-from repro.core.syntactic import N_CATEGORIES, ONE_HOT, sentence_categories
+from repro.core.syntactic import N_CATEGORIES, sentence_categories
 from repro.oracle import assert_equivalent
 from repro.streams.generator import TWEETS_SCHEMA
 from tests import sentence_oracle as oracle
@@ -97,7 +97,7 @@ class TestCollectLocalEmbeddings:
         embs = collect_local_embeddings(spark, tweets_df, mined, np_chunker).toPandas()
         assert len(embs) == mined.count()
         for r in embs.itertuples():
-            assert np.array_equal(np.asarray(r.emb), ONE_HOT[r.category])
+            assert np.array_equal(np.asarray(r.emb), np.eye(N_CATEGORIES)[r.category])
 
     def test_deep_requires_phrase_embedder(self, spark, tweets_df, gold_trie, aguilar):
         mined = extract_mentions(spark, tweets_df, gold_trie)
@@ -182,21 +182,25 @@ def _scan(spark, df, trie, v, *, tag) -> tuple:
     return local, mined, mine_seconds.value, n_sentences.value
 
 
-def _assert_same_rows(got: pd.DataFrame, expect: pd.DataFrame) -> None:
-    """Equal rows, and bit-equal embeddings."""
+def _assert_same_rows(got: pd.DataFrame, expect: pd.DataFrame, v) -> None:
+    """Equal rows, and bit-equal embeddings; a non-deep variant's scan
+    rows carry none, where the split path has the JVM one-hot."""
     assert len(got) > 0
     pd.testing.assert_frame_equal(
         got.drop(columns="emb"), expect.drop(columns="emb"), check_exact=True
     )
-    assert all(np.array_equal(a, b) for a, b in zip(got["emb"], expect["emb"]))
+    if v.phrase_embedder is None:
+        assert (got["emb"].map(len) == 0).all()
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got["emb"], expect["emb"]))
 
 
 class TestMineAndEmbed:
     @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
     def test_equals_split_path(self, spark, request, variant, edge_df, edge_trie):
         """Without tagging, the one-task scan gives the rows and the exact
-        float32 embeddings of mining followed by embedding (the JVM
-        one-hot on the non-deep path), and counts every sentence."""
+        float32 embeddings of mining followed by embedding (no embedding
+        on the non-deep path), and counts every sentence."""
         v = request.getfixturevalue(variant)
         local, fused, _, n_sentences = _scan(spark, edge_df, edge_trie, v, tag=False)
         mined = extract_mentions(spark, edge_df, edge_trie)
@@ -204,7 +208,7 @@ class TestMineAndEmbed:
             collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         )
         assert len(local) == 0 and n_sentences == 42
-        _assert_same_rows(fused, split)
+        _assert_same_rows(fused, split, v)
         assert not fused["tweet_id"].isin([10**9, 10**9 + 1]).any()
 
     @pytest.mark.parametrize("variant", ["chunker_variant", "aguilar_variant"])
@@ -251,7 +255,7 @@ class TestTagMineAndEmbed:
         split = _by_span(
             collect_local_embeddings(spark, edge_df, mined, v.system, v.phrase_embedder)
         )
-        _assert_same_rows(fused, split)
+        _assert_same_rows(fused, split, v)
         assert not pd.concat([local, fused])["tweet_id"].isin([10**9, 10**9 + 1]).any()
 
     def test_deep_requires_phrase_embedder_before_any_job(self, spark, aguilar, edge_df):

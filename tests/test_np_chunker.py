@@ -4,7 +4,7 @@
 import pytest
 
 from repro.local_emd.base import Sentences
-from repro.local_emd.np_chunker import NPChunker
+from repro.local_emd.np_chunker import LONG_WORD, NPChunker
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,10 @@ class TestConfig:
         with pytest.raises(NotImplementedError):
             chunker.activations(Sentences.of([["a"]], [0], [0]))
 
-    def test_long_word_threshold_configurable(self):
-        c = NPChunker(long_word=4)
-        assert c._sentence_spans(["Word", "then", "lower"]) == [(0, 1)]
+    def test_long_word_threshold(self, chunker):
+        """A lone capitalised sentence-starter of 7 characters is dropped,
+        one of ``LONG_WORD`` (8) characters kept."""
+        assert LONG_WORD == 8
+        assert chunker._sentence_spans(["Seventh", "then", "lower"]) == []
+        assert chunker._sentence_spans(["Eighteen", "then", "lower"]) == [(0, 1)]
 

@@ -9,17 +9,20 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.candidate_base import CandidateBase
+from repro.core import pipeline
 from repro.core.ctrie import CTrie
 from repro.core.pipeline import (
     MAX_CANDIDATE_TOKENS,
     EMDGlobalizer,
     _collect_mentions,
     _seed_keys,
+    build_variant,
     candidate_table,
     global_emd_cycle,
 )
+from repro.core.syntactic import CATEGORY_NAMES, N_CATEGORIES
 from repro.eval.experiments import run_cell
+from repro.local_emd.np_chunker import NPChunker
 from repro.local_emd.base import SPAN_COLS
 from repro.eval.metrics import score_mentions
 from repro.streams import generator as gen
@@ -33,9 +36,14 @@ def d1_run(spark, aguilar_variant, d1_small):
     return res
 
 
+@pytest.fixture(scope="module")
+def chunker_cycle(spark, chunker_variant, d1_small):
+    return _fresh_cycle(spark, chunker_variant, d1_small.to_spark(spark))
+
+
 def _fresh_cycle(spark, variant, tweets_df) -> tuple:
     """One classified cycle from fresh state, and its CandidateBase."""
-    cb = CandidateBase(variant.emb_dim)
+    cb = variant.candidate_base()
     res = global_emd_cycle(
         spark, variant.shipped(spark), tweets_df, CTrie(), cb, variant.classifier
     )
@@ -206,14 +214,22 @@ class TestCandidateTable:
         ds = gen.generate("d1", scale=0.15)
         df = ds.to_spark(spark)
         gold_keys = set(ds.gold["key"])
-        embs, keys, labels, n = candidate_table(
-            spark, aguilar_variant.system, aguilar_variant.phrase_embedder, df, gold_keys
-        )
+        embs, keys, labels, n = candidate_table(spark, aguilar_variant, df, gold_keys)
         assert embs.shape[0] == len(keys) == len(labels) == len(n)
         assert embs.shape[1] == aguilar_variant.phrase_embedder.d_out
         for k, y in zip(keys, labels):
             assert y == (1.0 if k in gold_keys else 0.0)
         assert 0 < labels.sum() < len(labels)
+
+    def test_build_variant_ships_the_system_once(self, spark, monkeypatch, d1_small):
+        """The D5 table and the variant's later cycles read the one
+        broadcast ``build_variant`` made."""
+        calls = []
+        ship = pipeline.ship
+        monkeypatch.setattr(pipeline, "ship", lambda *a: calls.append(a) or ship(*a))
+        variant = build_variant(spark, NPChunker(), scale=0.05, d5_scale=0.02)
+        EMDGlobalizer(variant).run(spark, d1_small.to_spark(spark))
+        assert len(calls) == 1 and variant.classifier is not None
 
 
 class TestNonDeepVariant:
@@ -248,11 +264,43 @@ class TestNonDeepVariant:
             pd.testing.assert_frame_equal(
                 one.final_mentions, eight.final_mentions, check_exact=True
             )
-            assert cb_one.keys() == cb_eight.keys()
-            assert all(
-                np.array_equal(cb_one.get(k).emb_sum, cb_eight.get(k).emb_sum)
-                for k in cb_one.keys()
+            assert cb_one.keys() == cb_eight.keys() and len(cb_one) > 0
+            width = variant.emb_dim if variant.system.is_deep else 0
+            for a, b in ((cb_one.get(k), cb_eight.get(k)) for k in cb_one.keys()):
+                assert np.array_equal(a.counts, b.counts) and a.counts.sum() == a.n_mentions
+                assert np.array_equal(a.emb_sum, b.emb_sum) and len(a.emb_sum) == width
+
+    def test_syntactic_embeddings_equal_float_one_hot_mean(self, chunker_cycle):
+        """A non-deep candidate's global embedding, its category counts
+        over its mention count, is bit-equal to the mean of the float32
+        one-hots of its mined rows, summed in float64 in span order."""
+        res, cb = chunker_cycle
+        mined = res.mined_mentions  # in span order
+        one_hot = np.eye(N_CATEGORIES, dtype=np.float32)[mined["category"].to_numpy()]
+        expect = []
+        for k in cb.keys():
+            rows = one_hot[(mined["key"] == k).to_numpy()]
+            total = np.zeros(N_CATEGORIES)
+            for row in rows:
+                total += row
+            expect.append((total / len(rows)).astype(np.float32))
+        got = cb.embeddings(cb.keys())
+        assert cb.d_emb == 0 and len(expect) > 50
+        assert np.array_equal(got.view(np.uint32), np.array(expect).view(np.uint32))
+
+    def test_counts_are_the_category_histogram(self, d1_run, chunker_cycle):
+        """Deep and non-deep alike, each candidate's counts in the table
+        sum to its mention count and are the histogram of its mined rows'
+        categories."""
+        for res in (d1_run, chunker_cycle[0]):
+            mined, cands = res.mined_mentions, res.candidates
+            hist = pd.crosstab(mined["key"], mined["category"]).reindex(
+                columns=range(N_CATEGORIES), fill_value=0
             )
+            assert cands["key"].tolist() == hist.index.tolist()
+            counts = cands[list(CATEGORY_NAMES)].to_numpy()
+            assert np.array_equal(counts, hist.to_numpy())
+            assert np.array_equal(counts.sum(axis=1), cands["n_mentions"].to_numpy())
 
     @pytest.mark.parametrize("n_partitions, n_jobs", [(1, 1), (4, 2)])
     def test_spark_jobs_per_cycle(self, spark, chunker_variant, d1_small, n_partitions, n_jobs):

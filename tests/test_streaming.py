@@ -9,7 +9,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
 from repro.core.pipeline import EMDGlobalizer, FittedVariant, global_emd_cycle
 from repro.eval.metrics import score_mentions
@@ -36,11 +35,14 @@ def _thirds(ds) -> list:
 
 
 def _assert_same_state(ctrie_a, cb_a, ctrie_b, cb_b) -> None:
-    """Equal CTrie keys and candidate tables, and bit-equal (sum, count)."""
+    """Equal CTrie keys and candidate tables, and bit-equal (sum, count)
+    and category counts, which sum to each mention count."""
     assert ctrie_a.keys() == ctrie_b.keys()
     pd.testing.assert_frame_equal(cb_a.table(), cb_b.table(), check_exact=True)
-    assert cb_a.keys() == cb_b.keys()
-    assert all(np.array_equal(cb_a.get(k).emb_sum, cb_b.get(k).emb_sum) for k in cb_a.keys())
+    assert cb_a.keys() == cb_b.keys() and len(cb_a) > 0
+    for a, b in ((cb_a.get(k), cb_b.get(k)) for k in cb_a.keys()):
+        assert np.array_equal(a.emb_sum, b.emb_sum) and np.array_equal(a.counts, b.counts)
+        assert a.counts.sum() == a.n_mentions
 
 
 class UnpickleLoggingChunker(NPChunker):
@@ -142,7 +144,7 @@ class TestIncrementalPipeline:
         for variant in (chunker_variant, aguilar_variant):
             runs = []
             for n in (1, 2):
-                ctrie, cb = CTrie(), CandidateBase(variant.emb_dim)
+                ctrie, cb = CTrie(), variant.candidate_base()
                 finals = [
                     global_emd_cycle(
                         spark, variant.shipped(spark),
@@ -168,13 +170,15 @@ class TestIncrementalPipeline:
             cb = sg.candidate_base
             for batch_id in (0, 2):
                 keys, table = sg.ctrie.keys(), cb.table()
-                sums = {k: cb.get(k).emb_sum.copy() for k in cb.keys()}
+                sums = {k: (cb.get(k).emb_sum.copy(), cb.get(k).counts.copy()) for k in cb.keys()}
                 out = sg.process_batch(spark, empty, batch_id)
                 assert out.n_tweets == 0 and out.n_new_candidates == 0 and len(out.mentions) == 0
                 assert sg.ctrie.keys() == keys
                 pd.testing.assert_frame_equal(table, cb.table(), check_exact=True)
                 assert cb.keys() == list(sums)
-                assert all(np.array_equal(sums[k], cb.get(k).emb_sum) for k in sums)
+                for k, (emb_sum, counts) in sums.items():
+                    assert np.array_equal(emb_sum, cb.get(k).emb_sum)
+                    assert np.array_equal(counts, cb.get(k).counts)
                 if batch_id == 0:
                     assert len(sg.ctrie) == 0 and len(cb) == 0
                     sg.process_batch(spark, ds_small.to_spark(spark), 1)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core import syntactic as S
+from repro.core.candidate_base import CandidateBase
 
 
 def _category(tokens: list, start: int, length: int) -> int:
@@ -60,7 +61,11 @@ class TestCategories:
 class TestOneHot:
     @pytest.mark.parametrize("cat", range(S.N_CATEGORIES))
     def test_one_hot(self, cat):
-        v = S.ONE_HOT[cat]
-        assert v.shape == (6,)
-        assert v.sum() == 1.0 and v[cat] == 1.0
-        assert v.dtype == np.float32
+        """The global syntactic distribution of a candidate whose mentions
+        all have category ``cat`` is the float32 one-hot of ``cat``."""
+        cb = CandidateBase(0)
+        cb.add_mentions(["k"] * 3, np.empty((3, 0)), [cat] * 3)
+        v = cb.get("k").global_embedding
+        assert np.array_equal(v, np.eye(S.N_CATEGORIES, dtype=np.float32)[cat])
+        assert v.dtype == np.float32 and S.CATEGORY_NAMES[cat] in cb.table()
+        assert cb.table().loc[0, S.CATEGORY_NAMES[cat]] == 3

@@ -117,10 +117,12 @@ class GlobalizerResult:
     local_mentions: pd.DataFrame
     mined_mentions: pd.DataFrame
     final_mentions: pd.DataFrame
-    candidates: pd.DataFrame  # CandidateBase.table()
     local_seconds: float
     global_seconds: float
     n_sentences: int  # tweet-sentences the cycle read
+    # the cycle's CandidateBase.table(), which EMDGlobalizer.run adds; a
+    # bare global_emd_cycle builds no table
+    candidates: pd.DataFrame | None = None
 
 
 def _collect_mentions(table: pa.Table, d_emb: int) -> tuple:
@@ -188,6 +190,8 @@ def global_emd_cycle(
     a job first, the driver seeds ``ctrie``, and ``local_seconds`` is
     that job's time. Both plans give the same bits. ``global_seconds``
     is the rest of the cycle; ``n_sentences`` counts the sentences read.
+    The result's ``candidates`` is left ``None``: a caller that reads the
+    candidate table builds it with ``candidate_base.table()``.
     The broadcast of the CTrie that the scan read is destroyed once its
     job has run.
     """
@@ -222,7 +226,7 @@ def global_emd_cycle(
         candidate_base.classify_all(classifier)
     final = mined[mined["key"].isin(candidate_base.entity_keys())].reset_index(drop=True)
     return GlobalizerResult(
-        local, mined, final, candidate_base.table(), local_seconds,
+        local, mined, final, local_seconds,
         time.perf_counter() - t0 - local_seconds, n_sentences.value,
     )
 
@@ -238,12 +242,16 @@ class EMDGlobalizer:
 
         The result holds Figure 6's three stages of one cycle: Local
         EMD's mentions, every mined mention of a seed candidate, and the
-        final mentions of entity candidates.
+        final mentions of entity candidates; ``candidates`` is the
+        cycle's candidate table.
         """
         v = self.variant
-        return global_emd_cycle(
-            spark, v.shipped(spark), tweets_df, CTrie(), v.candidate_base(), v.classifier
-        )
+        # shipping checks the system before the base reads its embedder
+        shipped = v.shipped(spark)
+        cb = v.candidate_base()
+        res = global_emd_cycle(spark, shipped, tweets_df, CTrie(), cb, v.classifier)
+        res.candidates = cb.table()
+        return res
 
 
 def candidate_table(
@@ -259,7 +267,8 @@ def candidate_table(
     Returns ``(embs, keys, labels, n_mentions)``.
     """
     cb = variant.candidate_base()
-    cands = global_emd_cycle(spark, variant.shipped(spark), tweets_df, CTrie(), cb).candidates
+    global_emd_cycle(spark, variant.shipped(spark), tweets_df, CTrie(), cb)
+    cands = cb.table()
     keys = cands["key"].tolist()
     labels = np.array([1.0 if k in gold_keys else 0.0 for k in keys])
     return cb.embeddings(keys), keys, labels, cands["n_mentions"].to_numpy()

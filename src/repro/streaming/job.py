@@ -69,6 +69,19 @@ _BATCH_THREAD = ThreadPoolExecutor(max_workers=1, thread_name_prefix="micro-batc
 # comes one second after the one before it
 _STREAM_START = pd.Timestamp("2020-03-01T00:00:00")
 
+# writes the offset, commit and file-source logs with FileSystem
+# create/rename; see ``StreamingGlobalizer.run_file_stream``
+CHECKPOINT_FILE_MANAGER = (
+    "org.apache.spark.sql.execution.streaming.checkpointing."
+    "FileSystemBasedCheckpointFileManager"
+)
+
+# the ``durationMs`` phases of a trigger that ``BatchOutput.trigger_ms`` keeps
+TRIGGER_PHASES = (
+    "walCommit", "latestOffset", "getBatch", "queryPlanning",
+    "addBatch", "commitOffsets", "triggerExecution",
+)
+
 
 def write_stream_batches(
     dataset: TweetDataset,
@@ -107,12 +120,19 @@ def write_stream_batches(
 
 @dataclass
 class BatchOutput:
-    """Per-micro-batch emission record."""
+    """Per-micro-batch emission record.
+
+    ``trigger_ms`` holds the milliseconds of each of ``TRIGGER_PHASES``
+    that Structured Streaming spent on the batch's trigger; it is filled
+    when the batch ran in ``run_file_stream`` and Spark still kept the
+    trigger's progress, and is empty otherwise.
+    """
 
     batch_id: int
     n_tweets: int
     n_new_candidates: int
     mentions: pd.DataFrame  # entity-labelled mentions of this batch
+    trigger_ms: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -139,7 +159,7 @@ class StreamingGlobalizer:
         v = self.variant
         before = len(self.ctrie)
         res = global_emd_cycle(
-            spark, v.shipped(spark), batch_df.drop("ts"), self.ctrie,
+            spark, v.shipped(spark), batch_df, self.ctrie,
             self.candidate_base, v.classifier, one_task=True,
         )
         out = BatchOutput(
@@ -168,7 +188,35 @@ class StreamingGlobalizer:
         Streaming query whose ``foreachBatch`` advances this state, one
         file per micro-batch.
         Each micro-batch's ``process_batch`` runs on the module's one
-        batch thread while the callback waits for it.
+        batch thread while the callback waits for it. The query's
+        checkpoint is ``input_dir/_checkpoint``: a later call on the same
+        directory runs only the files that arrived since, numbering their
+        batches on from the last one committed.
+
+        Once the query has ended, each of its batches' ``BatchOutput``
+        gets its trigger's ``durationMs`` phases (``TRIGGER_PHASES``) as
+        ``trigger_ms``, matched by batch id from ``query.recentProgress``.
+        Spark keeps only the last ``spark.sql.streaming.
+        numRecentProgressUpdates`` (100) progress updates of a query, so
+        the earlier batches of a longer stream carry no record.
+
+        Before it starts the query, this sets ``spark``'s
+        ``spark.sql.streaming.checkpointFileManagerClass`` to
+        ``CHECKPOINT_FILE_MANAGER``, and leaves it set: the file source
+        makes its metadata log later, on the query's own thread, from
+        the reader's session, so restoring it after ``start()`` would
+        race with that. Spark's default manager renames through
+        ``FileContext``, and without ``libhadoop`` Hadoop's local
+        filesystem resolves each renamed path by starting a ``readlink``
+        process: 24 a trigger, on top of one ``chmod`` process for each
+        log file and each ``.crc`` file written. The FileSystem manager
+        writes a temporary file and renames it with ``File.renameTo``,
+        which starts no process. That rename is atomic on the local
+        filesystem, where the checkpoint lives, and Spark itself falls
+        back to this manager when ``FileContext`` is unavailable. Its one
+        weakness, checking that the target is absent before renaming,
+        matters only when two writers share a checkpoint; here each has
+        one: one directory per input and one active run per query id.
 
         Raises ``TimeoutError`` if the query has not consumed every file
         after ``timeout_seconds``; the query is stopped and a batch in
@@ -184,6 +232,10 @@ class StreamingGlobalizer:
                 state().process_batch, spark, batch_df, int(batch_id)
             ).result()
 
+        spark.conf.set(
+            "spark.sql.streaming.checkpointFileManagerClass", CHECKPOINT_FILE_MANAGER
+        )
+        first = len(self.outputs)
         stream = (
             spark.readStream.schema(STREAM_SCHEMA)
             .option("maxFilesPerTrigger", 1)
@@ -205,6 +257,15 @@ class StreamingGlobalizer:
             # the thread runs one call at a time, in order: this waits
             # for a batch in flight
             _BATCH_THREAD.submit(int).result()
+        # a trigger that found no new file ran no batch and has no addBatch
+        phases = {
+            p.batchId: {k: p.durationMs[k] for k in TRIGGER_PHASES if k in p.durationMs}
+            for p in query.recentProgress
+            if "addBatch" in p.durationMs
+        }
+        for out in self.outputs[first:]:
+            out.trigger_ms = phases.get(out.batch_id, {})
+        if not finished:
             raise TimeoutError(
                 f"stream over {input_dir} did not finish in {timeout_seconds} s"
             )

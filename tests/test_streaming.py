@@ -1,7 +1,11 @@
 """Tests for the Structured Streaming execution mode (Section III)."""
+import copy
 import gc
 import glob
+import json
 import os
+import shutil
+import subprocess
 import threading
 import weakref
 
@@ -16,6 +20,7 @@ from repro.local_emd.np_chunker import NPChunker
 from repro.streaming.job import (
     MENTION_COLS,
     STREAM_SCHEMA,
+    TRIGGER_PHASES,
     StreamingGlobalizer,
     write_stream_batches,
 )
@@ -345,3 +350,81 @@ class TestIncrementalPipeline:
             sg.run_file_stream(spark, str(td), timeout_seconds=0)
         assert spark.streams.active == []
 
+    def test_restarted_query_runs_only_new_files(
+        self, spark, chunker_variant, ds_small, tmp_path
+    ):
+        """A query restarted on its directory resumes from its checkpoint:
+        with no new file it runs no batch and leaves the state as it was;
+        a fourth file then runs as batch 3 alone. Each batch of a query
+        carries its trigger's phases, and the checkpoint holds one offset
+        and one commit per batch and no temporary file."""
+        held = tmp_path / "held"
+        td = tmp_path / "stream"
+        paths = write_stream_batches(ds_small, str(td), n_batches=4)
+        held.mkdir()
+        os.replace(paths[3], held / "late.json")
+        sg = StreamingGlobalizer(chunker_variant)
+
+        def run() -> list:
+            first = len(sg.outputs)
+            sg.run_file_stream(spark, str(td))
+            return sg.outputs[first:]
+
+        assert [o.batch_id for o in run()] == [0, 1, 2]
+        ctrie, cb = copy.deepcopy(sg.ctrie), copy.deepcopy(sg.candidate_base)
+        assert run() == []
+        _assert_same_state(ctrie, cb, sg.ctrie, sg.candidate_base)
+        os.replace(held / "late.json", paths[3])
+        (late,) = run()
+        assert late.batch_id == 3 and late.n_tweets > 0
+        assert sum(o.n_tweets for o in sg.outputs) == len(ds_small.tweets)
+        assert all(tuple(o.trigger_ms) == TRIGGER_PHASES for o in sg.outputs)
+        ckpt = td / "_checkpoint"
+        logs = {str(b) for b in range(4)} | {f".{b}.crc" for b in range(4)}
+        for log in ("offsets", "commits", os.path.join("sources", "0")):
+            assert set(os.listdir(ckpt / log)) == logs
+        assert not [f for _, _, fs in os.walk(ckpt) for f in fs if "tmp" in f]
+
+    @pytest.mark.skipif(
+        not (shutil.which("jcmd") and shutil.which("jfr")),
+        reason="needs the JDK's jcmd and jfr",
+    )
+    def test_triggers_start_no_readlink_process(
+        self, spark, chunker_variant, ds_small, tmp_path
+    ):
+        """Writing a query's checkpoint logs starts no ``readlink``
+        process and at most 7 processes a trigger on the query's stream
+        thread (a ``chmod`` per log file and per checksum file, and per
+        directory made). The driver JVM's process starts are recorded
+        with Java Flight Recorder over a four-file stream."""
+        from pyspark import SparkContext
+
+        pid = str(SparkContext._gateway.proc.pid)
+        rec, dump = "process-starts", tmp_path / "process-starts.jfr"
+        td = tmp_path / "stream"
+        write_stream_batches(ds_small, str(td), n_batches=4)
+        sg = StreamingGlobalizer(chunker_variant)
+        subprocess.run(
+            ["jcmd", pid, "JFR.start", f"name={rec}", "settings=default"],
+            check=True, capture_output=True, timeout=60,
+        )
+        try:
+            sg.run_file_stream(spark, str(td))
+        finally:
+            subprocess.run(
+                ["jcmd", pid, "JFR.stop", f"name={rec}", f"filename={dump}"],
+                check=True, capture_output=True, timeout=60,
+            )
+        printed = subprocess.run(
+            ["jfr", "print", "--json", "--events", "jdk.ProcessStart", str(dump)],
+            check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        starts = [
+            (e["values"]["eventThread"]["javaName"],
+             os.path.basename(e["values"]["command"].split()[0]))
+            for e in json.loads(printed)["recording"]["events"]
+        ]
+        on_stream = [c for t, c in starts if t.startswith("stream execution thread")]
+        assert len(sg.outputs) == 4
+        assert "readlink" not in {c for _, c in starts}
+        assert len(on_stream) <= 7 * len(sg.outputs)

@@ -1,25 +1,26 @@
 """Per-trigger records of the benchmark's stream cell, from production.
 
 Replays the ``d4-stream-aguilar`` input of ``perfbench`` (D4's first
-3,000 tweets as 12 one-file micro-batches, Aguilar variant, the bench's
-``local[min(4, nproc)]`` session) through ``run_file_stream`` and prints
-one JSON object: the median of each ``TRIGGER_PHASES`` phase over every
-measured batch's ``BatchOutput.trigger_ms``, the final-mention digest,
-and the driver JVM's process starts per trigger, by command, recorded
-with Java Flight Recorder (``jcmd``, ``jfr``) over one extra replay.
+3,000 tweets of input seed ``SEED`` as 12 one-file micro-batches,
+Aguilar variant, the bench's ``local[min(4, nproc)]`` session) through
+``run_file_stream``: one warm-up replay, then ``REPLAYS`` measured ones,
+then one more recorded with Java Flight Recorder. Prints one run's
+record as one JSON object, keyed as an entry of ``runs`` in
+``BENCH_trigger.json``: the median of each ``TRIGGER_PHASES`` phase over
+every measured batch's ``BatchOutput.trigger_ms``, the driver JVM's
+process starts per trigger on the query's stream thread, by command,
+and the final-mention digest.
 
 Run from the root of a checkout::
 
-    PYTHONHASHSEED=7 PYTHONPATH=src python3 jobs/trigger_records.py --seed 1 --replays 4
+    PYTHONHASHSEED=7 PYTHONPATH=src python3 jobs/trigger_records.py
 """
 from __future__ import annotations
 
-import argparse
 import collections
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 
@@ -30,11 +31,13 @@ sys.path.insert(
 import measure  # noqa: E402
 import run as bench  # noqa: E402
 import workloads as W  # noqa: E402
-from pyspark import SparkContext  # noqa: E402
 
+from repro.session import recorded_process_starts  # noqa: E402
 from repro.streaming.job import TRIGGER_PHASES, StreamingGlobalizer  # noqa: E402
 
 WORKLOAD = "d4-stream-aguilar"
+SEED = 1
+REPLAYS = 4
 
 
 def replay(spark, variant, ds, out_dir: str) -> StreamingGlobalizer:
@@ -45,56 +48,32 @@ def replay(spark, variant, ds, out_dir: str) -> StreamingGlobalizer:
     return sg
 
 
-def process_starts(spark, variant, ds, work: str) -> dict:
-    """Process starts per trigger over one replay, by command, on the
-    query's stream thread."""
-    pid, dump = str(SparkContext._gateway.proc.pid), os.path.join(work, "starts.jfr")
-    subprocess.run(["jcmd", pid, "JFR.start", "name=starts", "settings=default"],
-                   check=True, capture_output=True)
-    try:
-        sg = replay(spark, variant, ds, os.path.join(work, "jfr"))
-    finally:
-        subprocess.run(["jcmd", pid, "JFR.stop", "name=starts", f"filename={dump}"],
-                       check=True, capture_output=True)
-    printed = subprocess.run(
-        ["jfr", "print", "--json", "--events", "jdk.ProcessStart", dump],
-        check=True, capture_output=True, text=True,
-    ).stdout
-    commands = collections.Counter(
-        os.path.basename(e["values"]["command"].split()[0])
-        for e in json.loads(printed)["recording"]["events"]
-        if e["values"]["eventThread"]["javaName"].startswith("stream execution thread")
-    )
-    return {c: n / len(sg.outputs) for c, n in sorted(commands.items())}
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--replays", type=int, default=5)
-    args = ap.parse_args()
     wl = W.WORKLOADS[WORKLOAD]
     with tempfile.TemporaryDirectory() as work:
         spark = bench.start_spark(work)
         try:
             variant = W.build(spark, wl)
-            ds = W.generate_input(wl, args.seed)
+            ds = W.generate_input(wl, SEED)
             replay(spark, variant, W.head(ds, W.WARMUP_TWEETS), os.path.join(work, "warm"))
             records = []
-            for k in range(args.replays):
+            for k in range(REPLAYS):
                 sg = replay(spark, variant, ds, os.path.join(work, f"replay-{k}"))
                 records += [o.trigger_ms for o in sg.outputs]
-            starts = process_starts(spark, variant, ds, work)
+            with recorded_process_starts(os.path.join(work, "starts.jfr")) as starts:
+                sg = replay(spark, variant, ds, os.path.join(work, "jfr"))
         finally:
             bench.stop_spark(spark)
+    on_stream = collections.Counter(
+        c for t, c in starts if t.startswith("stream execution thread")
+    )
     print(json.dumps({
-        "workload": WORKLOAD,
         "cores": min(4, os.cpu_count() or 1),
-        "seed": args.seed,
-        "hash_seed": os.environ.get("PYTHONHASHSEED"),
         "triggers": len(records),
         "median_ms": {p: statistics.median(r[p] for r in records) for p in TRIGGER_PHASES},
-        "process_starts_per_trigger": starts,
+        "process_starts_per_trigger": {
+            c: n / len(sg.outputs) for c, n in sorted(on_stream.items())
+        },
         "digest": measure.mention_digest(sg.all_output_mentions())[:16],
     }))
 

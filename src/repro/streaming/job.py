@@ -206,12 +206,10 @@ class StreamingGlobalizer:
         makes its metadata log later, on the query's own thread, from
         the reader's session, so restoring it after ``start()`` would
         race with that. Spark's default manager renames through
-        ``FileContext``, and without ``libhadoop`` Hadoop's local
-        filesystem resolves each renamed path by starting a ``readlink``
-        process: 24 a trigger, on top of one ``chmod`` process for each
-        log file and each ``.crc`` file written. The FileSystem manager
-        writes a temporary file and renames it with ``File.renameTo``,
-        which starts no process. That rename is atomic on the local
+        ``FileContext``, which without ``libhadoop`` starts a ``readlink``
+        process for each renamed path; the FileSystem manager renames
+        with ``File.renameTo``, which starts none (DESIGN.md, "The
+        trigger's fixed cost"). That rename is atomic on the local
         filesystem, where the checkpoint lives, and Spark itself falls
         back to this manager when ``FileContext`` is unavailable. Its one
         weakness, checking that the target is absent before renaming,

@@ -2,10 +2,8 @@
 import copy
 import gc
 import glob
-import json
 import os
 import shutil
-import subprocess
 import threading
 import weakref
 
@@ -17,6 +15,7 @@ from repro.core.ctrie import CTrie
 from repro.core.pipeline import EMDGlobalizer, FittedVariant, global_emd_cycle
 from repro.eval.metrics import score_mentions
 from repro.local_emd.np_chunker import NPChunker
+from repro.session import recorded_process_starts
 from repro.streaming.job import (
     MENTION_COLS,
     STREAM_SCHEMA,
@@ -397,33 +396,11 @@ class TestIncrementalPipeline:
         thread (a ``chmod`` per log file and per checksum file, and per
         directory made). The driver JVM's process starts are recorded
         with Java Flight Recorder over a four-file stream."""
-        from pyspark import SparkContext
-
-        pid = str(SparkContext._gateway.proc.pid)
-        rec, dump = "process-starts", tmp_path / "process-starts.jfr"
         td = tmp_path / "stream"
         write_stream_batches(ds_small, str(td), n_batches=4)
         sg = StreamingGlobalizer(chunker_variant)
-        subprocess.run(
-            ["jcmd", pid, "JFR.start", f"name={rec}", "settings=default"],
-            check=True, capture_output=True, timeout=60,
-        )
-        try:
+        with recorded_process_starts(str(tmp_path / "starts.jfr")) as starts:
             sg.run_file_stream(spark, str(td))
-        finally:
-            subprocess.run(
-                ["jcmd", pid, "JFR.stop", f"name={rec}", f"filename={dump}"],
-                check=True, capture_output=True, timeout=60,
-            )
-        printed = subprocess.run(
-            ["jfr", "print", "--json", "--events", "jdk.ProcessStart", str(dump)],
-            check=True, capture_output=True, text=True, timeout=120,
-        ).stdout
-        starts = [
-            (e["values"]["eventThread"]["javaName"],
-             os.path.basename(e["values"]["command"].split()[0]))
-            for e in json.loads(printed)["recording"]["events"]
-        ]
         on_stream = [c for t, c in starts if t.startswith("stream execution thread")]
         assert len(sg.outputs) == 4
         assert "readlink" not in {c for _, c in starts}

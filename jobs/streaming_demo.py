@@ -3,8 +3,8 @@ Twitter stream (Section III's execution model).
 
 Materializes a streaming dataset as micro-batch files, then runs the
 incremental foreachBatch pipeline, printing per-batch progress (new
-candidates registered, entity mentions emitted) and the stream's
-cumulative precision, recall and F1.
+candidates registered, entity mentions emitted, candidates per label and
+label flips) and the stream's cumulative precision, recall and F1.
 
 Usage: ``spark-submit jobs/streaming_demo.py [--dataset d2] [--scale S]
 [--batches N] [--d5-scale S]``
@@ -44,7 +44,9 @@ def main() -> None:
             print(
                 f"batch {out.batch_id}: {out.n_tweets} tweets, "
                 f"+{out.n_new_candidates} candidates, "
-                f"{len(out.mentions)} entity mentions emitted"
+                f"{len(out.mentions)} entity mentions emitted; candidates: "
+                + ", ".join(f"{n} {label}" for label, n in out.label_counts.items())
+                + f", {out.label_flips} label flips"
             )
         prf = score_mentions(sg.all_output_mentions(), ds.gold)
         print(f"stream-cumulative: P={prf.precision:.3f} R={prf.recall:.3f} F1={prf.f1:.3f}")

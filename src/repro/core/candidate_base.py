@@ -14,115 +14,119 @@ batch mode and into the kept base of a stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
-from repro.core.entity_classifier import EntityClassifier, LABEL_AMBIG, LABEL_ENTITY
+from repro.core.entity_classifier import EntityClassifier, LABEL_ENTITY
 from repro.core.syntactic import CATEGORY_NAMES, N_CATEGORIES
 
 __all__ = ["CandidateBase", "CandidateRecord"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateRecord:
-    """Running pooled state for one candidate key; ``counts[c]`` counts
-    its mentions of syntactic category ``c``."""
+    """A copy of one candidate's row (:meth:`CandidateBase.get`);
+    ``counts[c]`` counts its mentions of syntactic category ``c``."""
 
     key: str
     emb_sum: np.ndarray
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(N_CATEGORIES, dtype=np.int64))
-    n_mentions: int = 0
-    label: str = LABEL_AMBIG
-    score: float = float("nan")
-
-    @property
-    def global_embedding(self) -> np.ndarray:
-        pooled = self.emb_sum if len(self.emb_sum) else self.counts
-        return (pooled / max(1, self.n_mentions)).astype(np.float32)
+    counts: np.ndarray
+    n_mentions: int
+    label: str
+    score: float
 
 
 class CandidateBase:
-    """Keyed store of :class:`CandidateRecord` with incremental update."""
+    """Columns with one row per candidate, in the order first added: a
+    float64 ``(n, d_emb)`` sum matrix, an int64 ``(n, N_CATEGORIES)``
+    count matrix, and mention-count and score (NaN until scored) arrays."""
 
     def __init__(self, d_emb: int):
         self.d_emb = d_emb
-        self._records: dict = {}
+        self._index: dict = {}  # key -> row
+        self._keys = np.empty(0, dtype=object)
+        self._sums = np.zeros((0, d_emb))
+        self._counts = np.zeros((0, N_CATEGORIES), dtype=np.int64)
+        self._n = np.zeros(0, dtype=np.int64)
+        self._scores = np.zeros(0)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._records
+        return key in self._index
 
     def get(self, key: str) -> CandidateRecord:
-        return self._records[key]
+        """Why ``key`` has its label: its pooled sum, category counts,
+        mention count, label and score, read from its row."""
+        i = self._index[key]
+        return CandidateRecord(
+            key, self._sums[i].copy(), self._counts[i].copy(), int(self._n[i]),
+            EntityClassifier.bucket(self._scores[i]), float(self._scores[i]),
+        )
 
     def keys(self) -> list:
-        return sorted(self._records)
+        return sorted(self._index)
 
-    def _record(self, key: str) -> CandidateRecord:
-        rec = self._records.get(key)
-        if rec is None:
-            rec = CandidateRecord(key, np.zeros(self.d_emb, dtype=np.float64))
-            self._records[key] = rec
-        return rec
+    def labels(self) -> np.ndarray:
+        """Each row's label: the alpha/beta/gamma bucket of its score, and
+        ambiguous while it is unscored."""
+        return EntityClassifier.bucket(self._scores)
 
-    def add_mention(self, key: str, emb: np.ndarray) -> CandidateRecord:
-        rec = self._record(key)
-        rec.emb_sum += emb
-        rec.n_mentions += 1
-        return rec
+    def add_mention(self, key: str, emb: np.ndarray) -> None:
+        self.add_mentions([key], np.asarray(emb)[None])
 
     def add_mentions(self, keys, embs: np.ndarray, categories=()) -> None:
         """Pool a batch of mentions: ``keys[i]`` gains ``embs[i]`` and a
         mention of category ``categories[i]`` (if given).
 
-        One group-sum over the batch onto the running sums, adding rows
-        in the order given — bit-equal to calling :meth:`add_mention`
-        row by row — and one count of each (key, category).
+        New keys get rows in the order they first appear; then one
+        scatter-add adds the rows in the order given, so the float64 sums
+        do not depend on how a mention sequence is split into batches.
         """
         codes, uniq = pd.factorize(np.asarray(keys, dtype=object))
-        recs = [self._record(k) for k in uniq]
-        sums = np.array([r.emb_sum for r in recs]).reshape(len(recs), self.d_emb)
-        np.add.at(sums, codes, embs)
-        cats = codes[: len(categories)] * N_CATEGORIES + np.asarray(categories, dtype=np.intp)
-        counts = np.bincount(cats, minlength=len(recs) * N_CATEGORIES).reshape(-1, N_CATEGORIES)
-        for rec, emb_sum, c, n in zip(recs, sums, counts, np.bincount(codes, minlength=len(recs))):
-            rec.emb_sum = emb_sum
-            rec.counts += c
-            rec.n_mentions += int(n)
+        rows = np.fromiter((self._index.setdefault(k, len(self._index)) for k in uniq), np.intp)
+        new = len(self._index) - len(self._keys)
+        if new:
+            self._keys = np.concatenate([self._keys, uniq[rows >= len(self._keys)]])
+            self._sums = np.concatenate([self._sums, np.zeros((new, self.d_emb))])
+            self._counts = np.concatenate([self._counts, np.zeros((new, N_CATEGORIES), np.int64)])
+            self._n = np.concatenate([self._n, np.zeros(new, np.int64)])
+            self._scores = np.concatenate([self._scores, np.full(new, np.nan)])
+        at = rows[codes]
+        cats = np.asarray(categories, dtype=np.intp)
+        np.add.at(self._sums, at, embs)
+        np.add.at(self._counts, (at[: len(cats)], cats), 1)
+        np.add.at(self._n, at, 1)
 
     def embeddings(self, keys: list) -> np.ndarray:
         """``(len(keys), d_emb or N_CATEGORIES)`` float32 global
-        embeddings of ``keys``, bit-equal to each record's
-        ``global_embedding``, from one stacked division."""
-        recs = [self._records[k] for k in keys]
-        sums = np.array([r.emb_sum if self.d_emb else r.counts for r in recs])
-        n = np.array([max(1, r.n_mentions) for r in recs], dtype=np.int64)
-        return (sums.reshape(len(n), self.d_emb or N_CATEGORIES) / n[:, None]).astype(np.float32)
+        embeddings of ``keys``: each one's pooled sum (its category
+        counts when ``d_emb`` is 0) over its mention count."""
+        rows = np.array([self._index[k] for k in keys], dtype=np.intp)
+        pooled = self._sums[rows] if self.d_emb else self._counts[rows]
+        return (pooled / np.maximum(self._n[rows], 1)[:, None]).astype(np.float32)
 
     def classify_all(self, classifier: EntityClassifier) -> None:
         """Re-score every candidate against its current pooled embedding
         (streaming mode re-runs this per micro-batch: gamma candidates
-        gain evidence as new mentions arrive)."""
-        if not self._records:
+        gain evidence as new mentions arrive). The rows are scored in
+        one product, in key order."""
+        if not len(self):
             return
-        keys = self.keys()
-        scores = classifier.scores(self.embeddings(keys), keys)
-        for k, p in zip(keys, scores):
-            self._records[k].score = float(p)
-            self._records[k].label = classifier.bucket(float(p))
+        order = np.argsort(self._keys)
+        keys = self._keys[order].tolist()
+        self._scores[order] = classifier.scores(self.embeddings(keys), keys)
 
     def entity_keys(self) -> set:
-        return {k for k, r in self._records.items() if r.label == LABEL_ENTITY}
+        return set(self._keys[self.labels() == LABEL_ENTITY])
 
     def table(self) -> pd.DataFrame:
         """One row per candidate, sorted by key: key, n_mentions, score,
         label, and its mention count in each category (``CATEGORY_NAMES``)."""
-        recs = map(self.get, self.keys())
-        return pd.DataFrame(
-            [(r.key, r.n_mentions, r.score, r.label, *r.counts.tolist()) for r in recs],
-            columns=["key", "n_mentions", "score", "label", *CATEGORY_NAMES],
-        )
+        names = ("key", "n_mentions", "score", "label", *CATEGORY_NAMES)
+        columns = (self._keys, self._n, self._scores, self.labels(), *self._counts.T)
+        order = np.argsort(self._keys)
+        return pd.DataFrame({name: column[order] for name, column in zip(names, columns)})

@@ -22,7 +22,9 @@ import numpy as np
 
 from repro.nn.mlp import MLP, bce_grad, bce_loss, train_early_stopping
 
-__all__ = ["EntityClassifier", "ALPHA", "BETA", "LABEL_ENTITY", "LABEL_NON", "LABEL_AMBIG"]
+__all__ = [
+    "EntityClassifier", "ALPHA", "BETA", "LABEL_ENTITY", "LABEL_NON", "LABEL_AMBIG", "LABELS",
+]
 
 ALPHA = 0.55
 BETA = 0.40
@@ -30,6 +32,7 @@ BETA = 0.40
 LABEL_ENTITY = "entity"
 LABEL_NON = "non-entity"
 LABEL_AMBIG = "ambiguous"
+LABELS = (LABEL_ENTITY, LABEL_AMBIG, LABEL_NON)
 HIDDEN = (64, 32)  # widths of the ReLU hidden layers
 
 
@@ -108,9 +111,8 @@ class EntityClassifier:
         return self.model.forward(self._features(embs, keys)).ravel()
 
     @staticmethod
-    def bucket(p: float) -> str:
-        if p >= ALPHA:
-            return LABEL_ENTITY
-        if p <= BETA:
-            return LABEL_NON
-        return LABEL_AMBIG
+    def bucket(p):
+        """The alpha/beta/gamma label of each score in ``p``: an object
+        array of labels, or one label for a scalar ``p``."""
+        labels = np.select([p >= ALPHA, p <= BETA], [LABEL_ENTITY, LABEL_NON], LABEL_AMBIG)
+        return labels.astype(object) if labels.ndim else labels.item()

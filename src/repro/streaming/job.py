@@ -31,7 +31,6 @@ run.
 """
 from __future__ import annotations
 
-import json
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +43,7 @@ from pyspark.sql import types as T
 
 from repro.core.candidate_base import CandidateBase
 from repro.core.ctrie import CTrie
+from repro.core.entity_classifier import LABELS
 from repro.core.pipeline import FittedVariant, global_emd_cycle
 from repro.local_emd.base import MENTIONS_SCHEMA
 from repro.streams.generator import TWEETS_SCHEMA, TweetDataset
@@ -93,28 +93,14 @@ def write_stream_batches(
     timestamps from ``_STREAM_START``; returns the file paths in arrival
     order."""
     os.makedirs(out_dir, exist_ok=True)
-    pdf = dataset.tweets.reset_index(drop=True)
-    paths = []
+    pdf = dataset.tweets.reset_index(drop=True)[TWEETS_SCHEMA.fieldNames()]
+    pdf = pdf.assign(ts=_STREAM_START + pd.to_timedelta(pdf.index, unit="s"))
     per = int(np.ceil(len(pdf) / n_batches))
-    for b in range(n_batches):
-        chunk = pdf.iloc[b * per : (b + 1) * per]
-        path = os.path.join(out_dir, f"batch-{b:04d}.json")
-        with open(path, "w") as f:
-            for i, r in chunk.iterrows():
-                ts = _STREAM_START + pd.Timedelta(seconds=i)
-                f.write(
-                    json.dumps(
-                        {
-                            "tweet_id": int(r.tweet_id),
-                            "sent_id": int(r.sent_id),
-                            "topic": int(r.topic),
-                            "tokens": list(r.tokens),
-                            "ts": ts.isoformat(),
-                        }
-                    )
-                    + "\n"
-                )
-        paths.append(path)
+    paths = [os.path.join(out_dir, f"batch-{b:04d}.json") for b in range(n_batches)]
+    for b, path in enumerate(paths):
+        pdf.iloc[b * per : (b + 1) * per].to_json(
+            path, orient="records", lines=True, date_format="iso"
+        )
     return paths
 
 
@@ -131,6 +117,8 @@ class BatchOutput:
     batch_id: int
     n_tweets: int
     n_new_candidates: int
+    label_counts: dict  # candidates per label (``LABELS``) after the batch
+    label_flips: int  # candidates known before the batch whose label it changed
     mentions: pd.DataFrame  # entity-labelled mentions of this batch
     trigger_ms: dict = field(default_factory=dict)
 
@@ -155,15 +143,21 @@ class StreamingGlobalizer:
         micro-batch, against the kept CTrie and CandidateBase. The batch
         is read once, by the cycle's one task, which also counts its
         tweets; an empty micro-batch emits nothing and changes no
-        state."""
+        state. The output counts the candidates of each label after the
+        batch, and the label flips: every candidate known before the
+        batch was labelled by the batch that added it, and the batch
+        re-labels them all."""
         v = self.variant
-        before = len(self.ctrie)
+        before, labels = len(self.ctrie), self.candidate_base.labels()
         res = global_emd_cycle(
             spark, v.shipped(spark), batch_df, self.ctrie,
             self.candidate_base, v.classifier, one_task=True,
         )
+        after = self.candidate_base.labels()
         out = BatchOutput(
             batch_id, res.n_sentences, len(self.ctrie) - before,
+            {label: int(np.sum(after == label)) for label in LABELS},
+            int(np.sum(labels != after[: len(labels)])),
             res.final_mentions[MENTION_COLS],
         )
         self.outputs.append(out)

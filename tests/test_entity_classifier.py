@@ -31,6 +31,13 @@ class TestThresholds:
     def test_bucket(self, p, label):
         assert EntityClassifier.bucket(p) == label
 
+    def test_bucket_of_an_array_labels_each_score(self):
+        ps = np.array([0.9, 0.55, 0.54, 0.41, 0.40, 0.1, np.nextafter(0.40, 1.0)])
+        labels = EntityClassifier.bucket(ps)
+        assert labels.dtype == object
+        assert labels.tolist() == [EntityClassifier.bucket(float(p)) for p in ps]
+        assert labels[-1] == LABEL_AMBIG
+
 
 class TestLengthFeature:
     def test_scales_with_string_length(self):

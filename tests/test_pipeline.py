@@ -41,6 +41,11 @@ def chunker_cycle(spark, chunker_variant, d1_small):
     return _fresh_cycle(spark, chunker_variant, d1_small.to_spark(spark))
 
 
+@pytest.fixture(scope="module")
+def aguilar_cycle(spark, aguilar_variant, d1_small):
+    return _fresh_cycle(spark, aguilar_variant, d1_small.to_spark(spark))
+
+
 def _fresh_cycle(spark, variant, tweets_df) -> tuple:
     """One classified cycle from fresh state, and its CandidateBase."""
     cb = variant.candidate_base()
@@ -303,6 +308,20 @@ class TestNonDeepVariant:
             counts = cands[list(CATEGORY_NAMES)].to_numpy()
             assert np.array_equal(counts, hist.to_numpy())
             assert np.array_equal(counts.sum(axis=1), cands["n_mentions"].to_numpy())
+
+    @pytest.mark.parametrize("cycle", ["chunker_cycle", "aguilar_cycle"])
+    def test_get_reads_the_table_row(self, request, cycle):
+        """After a classified cycle, ``get(k)`` gives the mention count,
+        score, label and category histogram of ``k``'s table row, and
+        counts that sum to the mention count."""
+        cb = request.getfixturevalue(cycle)[1]
+        table = cb.table()
+        assert len(table) > 50 and table["label"].nunique() > 1
+        for row in table.itertuples(index=False):
+            rec = cb.get(row.key)
+            assert (rec.n_mentions, rec.score, rec.label) == (row.n_mentions, row.score, row.label)
+            assert rec.counts.tolist() == [getattr(row, c) for c in CATEGORY_NAMES]
+            assert rec.counts.sum() == rec.n_mentions
 
     @pytest.mark.parametrize("n_partitions, n_jobs", [(1, 1), (4, 2)])
     def test_spark_jobs_per_cycle(self, spark, chunker_variant, d1_small, n_partitions, n_jobs):

@@ -1,7 +1,9 @@
 """Tests for the Structured Streaming execution mode (Section III)."""
 import copy
+import dataclasses
 import gc
 import glob
+import json
 import os
 import shutil
 import threading
@@ -12,6 +14,7 @@ import pandas as pd
 import pytest
 
 from repro.core.ctrie import CTrie
+from repro.core.entity_classifier import LABELS
 from repro.core.pipeline import EMDGlobalizer, FittedVariant, global_emd_cycle
 from repro.eval.metrics import score_mentions
 from repro.local_emd.np_chunker import NPChunker
@@ -47,6 +50,26 @@ def _assert_same_state(ctrie_a, cb_a, ctrie_b, cb_b) -> None:
     for a, b in ((cb_a.get(k), cb_b.get(k)) for k in cb_a.keys()):
         assert np.array_equal(a.emb_sum, b.emb_sum) and np.array_equal(a.counts, b.counts)
         assert a.counts.sum() == a.n_mentions
+
+
+def _row_by_row_batches(dataset, out_dir: str, n_batches: int) -> list:
+    """The micro-batch files as a per-row ``json.dumps`` loop writes them:
+    the reference for ``write_stream_batches``'s files."""
+    pdf = dataset.tweets.reset_index(drop=True)
+    per = -(-len(pdf) // n_batches)
+    paths = []
+    for b in range(n_batches):
+        path = os.path.join(out_dir, f"batch-{b:04d}.json")
+        with open(path, "w") as f:
+            for i, r in pdf.iloc[b * per : (b + 1) * per].iterrows():
+                ts = pd.Timestamp("2020-03-01T00:00:00") + pd.Timedelta(seconds=i)
+                row = {
+                    "tweet_id": int(r.tweet_id), "sent_id": int(r.sent_id),
+                    "topic": int(r.topic), "tokens": list(r.tokens), "ts": ts.isoformat(),
+                }
+                f.write(json.dumps(row) + "\n")
+        paths.append(path)
+    return paths
 
 
 class UnpickleLoggingChunker(NPChunker):
@@ -86,6 +109,28 @@ class TestWriteStreamBatches:
             .orderBy("tweet_id").toPandas()
         )
         assert pdf["ts"].is_monotonic_increasing
+
+    def test_files_read_as_the_row_by_row_writers(self, ds_small, tmp_path, spark):
+        """Read back with ``STREAM_SCHEMA``, each file holds the ids,
+        topics, tokens (non-ASCII ones included) and event times that
+        the per-row writer gives the same file."""
+        odd = ["Zürich", "東京", "naïve", "😷", "\\u00e9"]
+        tokens = [
+            t + [odd[i % 5]] if i % 7 == 0 else t
+            for i, t in enumerate(ds_small.tweets["tokens"])
+        ]
+        ds = dataclasses.replace(ds_small, tweets=ds_small.tweets.assign(tokens=tokens))
+        (tmp_path / "new").mkdir()
+        (tmp_path / "old").mkdir()
+        paths = write_stream_batches(ds, str(tmp_path / "new"), n_batches=3)
+        expect = _row_by_row_batches(ds, str(tmp_path / "old"), 3)
+        assert [os.path.basename(p) for p in paths] == [os.path.basename(p) for p in expect]
+        for got, want in zip(paths, expect):
+            a, b = (spark.read.schema(STREAM_SCHEMA).json(p).toPandas() for p in (got, want))
+            assert len(a) > 0 and a["tokens"].map(len).sum() > 0
+            pd.testing.assert_frame_equal(a, b, check_exact=True)
+        read = spark.read.schema(STREAM_SCHEMA).json(str(tmp_path / "new")).toPandas()
+        assert set(odd) <= {t for ts in read["tokens"] for t in ts}
 
 
 class TestIncrementalPipeline:
@@ -237,6 +282,28 @@ class TestIncrementalPipeline:
                 before = len(os.listdir(temp_dir))
         assert len(os.listdir(temp_dir)) <= before
         assert sum(len(o.mentions) for o in sg.outputs) > 0
+
+    def test_label_counts_and_flips_of_each_batch(
+        self, spark, chunker_variant, aguilar_variant, ds_small, tmp_path
+    ):
+        """On a three-file stream, each batch's label counts sum to the
+        candidates known after it, and its label flips equal a recount
+        from the candidate tables taken between batches."""
+        files = write_stream_batches(ds_small, str(tmp_path), n_batches=3)
+        for variant in (chunker_variant, aguilar_variant):
+            sg = StreamingGlobalizer(variant)
+            before, flips = sg.candidate_base.table(), 0
+            for b, path in enumerate(files):
+                out = sg.process_batch(spark, spark.read.schema(STREAM_SCHEMA).json(path), b)
+                after = sg.candidate_base.table()
+                assert tuple(out.label_counts) == LABELS
+                assert sum(out.label_counts.values()) == len(sg.candidate_base) == len(after)
+                assert out.label_counts == {l: int((after["label"] == l).sum()) for l in LABELS}
+                both = before.merge(after, on="key", suffixes=("_before", ""))
+                assert len(both) == len(before)
+                assert out.label_flips == int((both["label_before"] != both["label"]).sum())
+                before, flips = after, flips + out.label_flips
+            assert flips > 0
 
     def test_multi_batch_state_grows(self, spark, aguilar_variant, ds_small, tmp_path_factory):
         td = tmp_path_factory.mktemp("stream")

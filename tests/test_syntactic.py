@@ -65,7 +65,7 @@ class TestOneHot:
         all have category ``cat`` is the float32 one-hot of ``cat``."""
         cb = CandidateBase(0)
         cb.add_mentions(["k"] * 3, np.empty((3, 0)), [cat] * 3)
-        v = cb.get("k").global_embedding
+        v = cb.embeddings(["k"])[0]
         assert np.array_equal(v, np.eye(S.N_CATEGORIES, dtype=np.float32)[cat])
         assert v.dtype == np.float32 and S.CATEGORY_NAMES[cat] in cb.table()
         assert cb.table().loc[0, S.CATEGORY_NAMES[cat]] == 3
